@@ -285,7 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
         ),
         fallback=not args.no_fallback,
-        use_kernel=not args.no_kernel,
         slow_query_threshold_s=(args.slow_ms / 1000.0
                                 if args.slow_ms > 0 else None),
         trace_export_path=args.trace_export,
@@ -460,7 +459,7 @@ def _kernel_store_info(path: Path) -> None:
     """Report packed kernel stores (mmap warm start) under ``path``.
 
     A store lives either directly in the directory or in the cache
-    layout ``serve --kernel-cache`` maintains (``static``/``gen-<N>``/
+    layout ``serve --kernel-cache`` maintains (``static``/``gen-<N>-<lsn>``/
     tuner ``cfg-<digest>`` subdirectories); each one is a single mmap
     away from a warm kernel.  A ``tuned.json`` pointer means the
     auto-tuner pinned a config — the serve path loads that store first.
@@ -860,7 +859,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="run the JSON/HTTP query service")
     serve.add_argument("index", help="index directory (or raw data directory)")
     serve.add_argument("--method", default="gir",
-                       help="algorithm when serving raw data")
+                       help="engine built when serving raw data; queries "
+                            "are always answered by the fused kernel "
+                            "(seeded from a gir engine's grid)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8377)
     serve.add_argument("--batch-window-ms", type=float, default=2.0,
@@ -876,9 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-fallback", action="store_true",
                        help="disable degraded-mode fallback to the exact "
                             "naive scan on engine failure")
-    serve.add_argument("--no-kernel", action="store_true",
-                       help="answer coalesced batches with the dense rank "
-                            "sweep instead of the blocked GIR kernel")
     serve.add_argument("--no-recover", action="store_true",
                        help="fail instead of rebuilding damaged derived "
                             "index artifacts at startup")

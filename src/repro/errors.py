@@ -132,3 +132,13 @@ class NotPrimaryError(ServiceError):
     until promoted via ``POST /promote``; the client uses this signal to
     keep writes on the primary while reads fail over freely.
     """
+
+
+class KernelUnavailableError(RuntimeError):
+    """The serving kernel could not be built (its retry backoff is running).
+
+    Deliberately not a :class:`ReproError`: it is an engine failure, not a
+    caller mistake, so the service trips its circuit breaker and answers
+    from the exact naive fallback (flagged ``degraded``) — or, with the
+    fallback disabled, fails the request with HTTP 500.
+    """

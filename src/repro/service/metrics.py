@@ -40,7 +40,14 @@ from ..obs.prom import (
 from ..stats.counters import OpCounter
 from ..stats.timing import Timer, percentile
 
-__all__ = ["ServiceMetrics", "percentile", "DEFAULT_MAX_SAMPLES"]
+__all__ = ["ServiceMetrics", "percentile", "DEFAULT_MAX_SAMPLES",
+           "ANSWER_PATHS"]
+
+#: Every way the service can answer a query, as labelled on
+#: ``rrq_answers_total{path=...}`` and each request's ``answer_path``
+#: span annotation (see :mod:`repro.service.scheduler`).
+ANSWER_PATHS = ("fused", "snapshot_fused", "snapshot_merge",
+                "engine_locked", "naive_fallback")
 
 #: Latency samples retained for percentile estimation.
 DEFAULT_MAX_SAMPLES = 4096
@@ -82,6 +89,12 @@ class ServiceMetrics:
                               "refined": 0, "domin_skipped": 0, "f32": 0}
         self._kernel_fused = {"batches": 0, "queries": 0}
         self._kernel_weights_pruned = 0
+        self._answers = dict.fromkeys(ANSWER_PATHS, 0)
+        #: Per kernel backend ("static" / "snapshot"): whether the last
+        #: build succeeded, and how many builds failed.  A backend
+        #: appears once the scheduler first builds its kernel.
+        self._kernel_available: Dict[str, bool] = {}
+        self._kernel_build_failures: Dict[str, int] = {}
         self._mutations_total = 0
         self._mutations_by_op: Dict[str, int] = {}
         self._mutations_rejected = 0
@@ -199,6 +212,18 @@ class ServiceMetrics:
                 self._filter_rate_hist.observe(stats["filter_rate"],
                                                exemplar=trace_id)
 
+    def record_answers(self, path: str, n: int = 1) -> None:
+        """``n`` queries answered along ``path`` (one of ANSWER_PATHS)."""
+        with self._lock:
+            self._answers[path] += n
+
+    def record_kernel_build(self, backend: str, ok: bool) -> None:
+        """One kernel build attempt for ``backend`` and its outcome."""
+        with self._lock:
+            self._kernel_available[backend] = ok
+            failures = self._kernel_build_failures.get(backend, 0)
+            self._kernel_build_failures[backend] = failures + (not ok)
+
     def record_batch(self, size: int, counter: Optional[OpCounter] = None) -> None:
         """One dispatched micro-batch of ``size`` coalesced requests."""
         with self._lock:
@@ -275,12 +300,15 @@ class ServiceMetrics:
                     "max_size": self._max_batch_size,
                 },
                 "ops": self._ops.snapshot(),
+                "answers": {"by_path": dict(self._answers)},
                 "kernel": {
                     "queries": self._kernel_queries,
                     "stage_s": dict(self._kernel_stage_s),
                     "pairs": dict(self._kernel_pairs),
                     "fused": dict(self._kernel_fused),
                     "weights_pruned": self._kernel_weights_pruned,
+                    "available": dict(self._kernel_available),
+                    "build_failures": dict(self._kernel_build_failures),
                     "filter_rate": (
                         (self._kernel_pairs["case1"]
                          + self._kernel_pairs["case2"])
@@ -345,6 +373,9 @@ class ServiceMetrics:
             kernel_pairs = dict(self._kernel_pairs)
             kernel_fused = dict(self._kernel_fused)
             weights_pruned = self._kernel_weights_pruned
+            answers = dict(self._answers)
+            kernel_available = dict(self._kernel_available)
+            build_failures = dict(self._kernel_build_failures)
             filter_rate = (
                 (kernel_pairs["case1"] + kernel_pairs["case2"])
                 / kernel_pairs["total"] if kernel_pairs["total"] else 0.0
@@ -401,6 +432,20 @@ class ServiceMetrics:
                     batched_requests)
         exp.gauge("rrq_batch_size_max",
                   "Largest micro-batch dispatched so far.", max_batch)
+        for path in ANSWER_PATHS:
+            exp.counter("rrq_answers_total",
+                        "Queries answered, by the path that answered them.",
+                        answers[path], labels={"path": path})
+        for backend in sorted(kernel_available):
+            exp.gauge("rrq_kernel_available",
+                      "1 while the backend's fused kernel is built (or "
+                      "buildable), 0 while its last build failed.",
+                      int(kernel_available[backend]),
+                      labels={"backend": backend})
+            exp.counter("rrq_kernel_build_failures_total",
+                        "Failed kernel builds, by backend (each is retried "
+                        "after a backoff).",
+                        build_failures[backend], labels={"backend": backend})
         exp.counter("rrq_kernel_queries_total",
                     "Queries answered by the blocked GIR kernel.",
                     kernel_queries)

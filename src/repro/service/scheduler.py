@@ -1,25 +1,34 @@
 """Micro-batching admission scheduler for concurrent reverse-rank queries.
 
-Single-query latency and whole-service throughput want different
-execution strategies.  One query is answered fastest by the Grid-index
-scan (:class:`~repro.queries.engine.RRQEngine`); a burst of concurrent
-queries is answered fastest by one shared BLAS sweep over the score
-matrix (:func:`repro.vectorized.batch.all_ranks_multi`), because every
-coalesced query rides the same ``P @ W.T`` products.
+Requests are admitted into a bounded queue; a dispatcher thread collects
+everything that arrives within a configurable *batch window* and answers
+the micro-batch — a batch of one included — with one fused kernel call
+per query kind (``reverse_topk_batch`` / ``reverse_kranks_batch``):
 
-The scheduler bridges the two: requests are admitted into a bounded
-queue, a dispatcher thread collects everything that arrives within a
-configurable *batch window*, and
+* static engines use :class:`~repro.vectorized.girkernel.GirKernelRRQ`,
+  built lazily over the engine's own grid; every query of the batch
+  shares the (P-tile × W-block) bound matmuls (Eq. 3/4);
+* MVCC engines (the segmented store) pin one snapshot per batch and use
+  a :class:`~repro.storage.SnapshotKernel` over it, cached until the
+  store generation moves.
 
-* a batch of one is dispatched straight through the per-query engine
-  (low load ⇒ no added latency beyond the window);
-* a batch of many is answered from one ``all_ranks_multi`` sweep, with
-  per-request RTK/RKR answers derived exactly the way
-  :class:`~repro.vectorized.batch.BatchOracle` derives them — so batched
-  and unbatched answers are identical (the integration tests enforce
-  byte-equality against :class:`~repro.algorithms.naive.NaiveRRQ`).
+Answers are byte-identical to :class:`~repro.algorithms.naive.NaiveRRQ`
+on every path (the integration tests enforce byte-equality of the HTTP
+payloads).  The remaining paths are fallbacks, each named by the
+``answer_path`` span annotation and ``rrq_answers_total{path=...}``:
 
-Admission control (queue bounds, deadlines) lives in
+* ``snapshot_merge`` — an MVCC batch whose snapshot kernel is
+  unavailable (a side is empty, or a build failed) runs the snapshot's
+  exact segment merge;
+* ``engine_locked`` — a flat dynamic engine (no snapshots) answers each
+  request under its own lock;
+* ``naive_fallback`` — a static batch whose kernel cannot be built fails
+  with :class:`~repro.errors.KernelUnavailableError`, and the service
+  answers from its exact naive scan, flagged ``degraded``.
+
+A failed kernel build is retried after an exponential backoff rather
+than latched off; ``rrq_kernel_available{backend=...}`` reports the
+state.  Admission control (queue bounds, deadlines) lives in
 :mod:`repro.service.limits`; this module enforces it at submit and
 dispatch time and reports every batch to
 :class:`~repro.service.metrics.ServiceMetrics`.
@@ -41,14 +50,13 @@ from ..data.datasets import check_query_point
 from ..errors import (
     DeadlineExceededError,
     InvalidParameterError,
+    KernelUnavailableError,
     ServiceOverloadError,
     ServiceUnavailableError,
 )
-from ..obs.trace import current, current_trace_id, span, use_context
-from ..queries.types import RKRResult, RTKResult, make_rkr_result
+from ..obs.trace import current, span, use_context
 from ..resilience.faults import fire
 from ..stats.counters import OpCounter
-from ..vectorized.batch import DEFAULT_CHUNK_BUDGET, all_ranks_multi
 from ..vectorized.girkernel import GirKernelRRQ
 from .limits import Deadline, ServiceLimits
 from .metrics import ServiceMetrics
@@ -58,6 +66,11 @@ DEFAULT_BATCH_WINDOW_S = 0.002
 
 #: How often the dispatcher re-checks the shutdown flag while idle.
 _IDLE_POLL_S = 0.05
+
+#: Backoff after a failed kernel build: the first retry waits this long,
+#: each further consecutive failure doubles it, up to the cap.
+KERNEL_RETRY_BASE_S = 0.5
+KERNEL_RETRY_MAX_S = 30.0
 
 _KINDS = ("rtk", "rkr")
 
@@ -79,48 +92,68 @@ class _Pending:
     ctx: Optional[object] = None
 
 
+class _Backoff:
+    """Retry gate for one backend's kernel build: exponential backoff,
+    never a latch.  Build outcomes are reported to ``metrics``."""
+
+    def __init__(self, backend: str, metrics: ServiceMetrics):
+        self.backend = backend
+        self.metrics = metrics
+        self.failures = 0
+        self._retry_at = 0.0
+        #: ``repr`` of the exception behind the latest failure.
+        self.last_error: Optional[str] = None
+
+    def ready(self) -> bool:
+        return time.monotonic() >= self._retry_at
+
+    def failed(self, exc: BaseException) -> None:
+        self.last_error = repr(exc)
+        self.failures += 1
+        delay = min(KERNEL_RETRY_BASE_S * 2 ** (self.failures - 1),
+                    KERNEL_RETRY_MAX_S)
+        self._retry_at = time.monotonic() + delay
+        self.metrics.record_kernel_build(self.backend, ok=False)
+
+    def succeeded(self) -> None:
+        self.reset()
+        self.metrics.record_kernel_build(self.backend, ok=True)
+
+    def reset(self) -> None:
+        self.failures = 0
+        self._retry_at = 0.0
+
+
 class MicroBatchScheduler:
-    """Coalesces concurrent single queries into vectorized micro-batches.
+    """Coalesces concurrent single queries into fused kernel batches.
 
     Parameters
     ----------
     engine:
         Any library engine/algorithm exposing ``reverse_topk``,
         ``reverse_kranks``, ``products`` and ``weights`` (an
-        :class:`~repro.queries.engine.RRQEngine` in practice).  Used for
-        the single-request fast path.
+        :class:`~repro.queries.engine.RRQEngine` in practice).  Static
+        engines supply the arrays (and, for GIR, the grid) the kernel is
+        built from; dynamic engines answer through snapshots or under
+        their own lock.
     batch_window_s:
         How long the dispatcher waits for more requests after the first
         one arrives.  ``0`` disables coalescing entirely (every request
-        takes the per-query path).
+        is its own batch of one).
     limits:
         Admission bounds (queue depth, default deadline, max batch size).
     metrics:
         Destination for batch/rejection tallies; a private instance is
         created when omitted.
-    chunk_budget:
-        Memory bound forwarded to :func:`all_ranks_multi`.
-    use_kernel:
-        Answer coalesced batches with the weight-blocked GIR kernel
-        (:class:`~repro.vectorized.girkernel.GirKernelRRQ`) instead of
-        the dense ``all_ranks_multi`` sweep.  The kernel is built lazily
-        on the first coalesced batch — wrapping the engine's own grid
-        when it is a :class:`~repro.core.gir.GridIndexRRQ` — and its
-        per-stage timings / filter rates flow into ``/metrics``.
-        Coalesced batches of more than one request run through the
-        *fused* multi-query kernel path (one shared gather/matmul
-        pipeline for the whole batch), with the per-query kernel loop
-        preserved as the fallback.  Answers are byte-identical either
-        way; this only changes how much arithmetic the batch path
-        performs.  Ignored for dynamic engines (their arrays mutate
-        under the scheduler).
     kernel_cache_dir:
         Directory for mmap kernel warm starts
         (:mod:`repro.vectorized.kernelstore`).  Static engines persist
         their lazily built kernel under ``<dir>/static`` and reload it
         zero-copy on the next process start (validated against the
-        engine's arrays); MVCC engines key snapshot kernels by store
-        generation under ``<dir>/gen-<N>``.  ``None`` disables caching.
+        engine's arrays); MVCC engines persist snapshot kernels of
+        sealed state under ``<dir>/gen-<manifest generation>-<lsn>``
+        (see :class:`~repro.storage.SnapshotKernel`).  ``None`` disables
+        caching.
     auto_start:
         Start the dispatcher thread immediately (tests pass ``False`` to
         stage requests deterministically before opening the tap).
@@ -129,8 +162,6 @@ class MicroBatchScheduler:
     def __init__(self, engine, batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  limits: Optional[ServiceLimits] = None,
                  metrics: Optional[ServiceMetrics] = None,
-                 chunk_budget: int = DEFAULT_CHUNK_BUDGET,
-                 use_kernel: bool = True,
                  kernel_cache_dir: Optional[str] = None,
                  auto_start: bool = True):
         if batch_window_s < 0:
@@ -139,13 +170,11 @@ class MicroBatchScheduler:
         self.batch_window_s = float(batch_window_s)
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or ServiceMetrics()
-        self.chunk_budget = chunk_budget
         self._dim = engine.products.dim
         # A dynamic engine's product/weight views expose no ``.values``
-        # (the arrays change under mutation); the coalesced BLAS sweep
-        # would capture stale state, so such engines always take the
-        # per-query path — serialized against mutations by the engine's
-        # own lock.
+        # (the arrays change under mutation), so no static kernel can be
+        # built over them: MVCC engines answer through pinned snapshots,
+        # flat ones under the engine's own lock.
         self._dynamic = not hasattr(engine.products, "values")
         self._engine_lock = getattr(engine, "lock", None)
         if self._dynamic:
@@ -153,20 +182,15 @@ class MicroBatchScheduler:
         else:
             self._P = engine.products.values
             self._W = engine.weights.values
-        self.use_kernel = bool(use_kernel) and not self._dynamic
         self.kernel_cache_dir = kernel_cache_dir
         self._kernel: Optional[GirKernelRRQ] = None
-        self._kernel_failed = False
+        self._kernel_retry = _Backoff("static", self.metrics)
         # MVCC engines (the segmented store) pin one immutable snapshot
         # per batch: queries run against it without the engine lock and
-        # never observe mutations that land mid-batch.  Coalesced
-        # batches may additionally densify the snapshot into a blocked
-        # kernel, cached until the store generation moves.
+        # never observe mutations that land mid-batch.
         self._pin_snapshot = getattr(engine, "pin_snapshot", None)
-        self._use_snapshot_kernel = bool(use_kernel) and \
-            self._pin_snapshot is not None
         self._snap_kernel = None
-        self._snap_kernel_failed = False
+        self._snap_kernel_retry = _Backoff("snapshot", self.metrics)
         #: Tuned snapshot-kernel config (a CandidateConfig), set by the
         #: auto-tuner's hot-swap on MVCC engines; None = default build.
         self._snapshot_tuning = None
@@ -333,35 +357,40 @@ class MicroBatchScheduler:
         counter = OpCounter()
         try:
             fire("scheduler.dispatch")
-            if self._dynamic:
-                snap = (self._pin_snapshot()
-                        if self._pin_snapshot is not None else None)
-                if snap is not None:
-                    try:
-                        self._answer_snapshot(live, snap, counter)
-                    finally:
-                        snap.release()
-                else:
-                    for pending in live:
-                        self._answer_single(pending, counter)
-            elif len(live) == 1:
-                self._answer_single(live[0], counter)
+            snap = (self._pin_snapshot()
+                    if self._pin_snapshot is not None else None)
+            if snap is not None:
+                try:
+                    self._answer_snapshot(live, snap, counter)
+                finally:
+                    snap.release()
+            elif self._dynamic:
+                for pending in live:
+                    self._answer_locked(pending, counter)
             else:
-                self._answer_batched(live, counter)
+                kernel = self._get_kernel()
+                if kernel is None:
+                    raise KernelUnavailableError(
+                        "the fused kernel failed to build "
+                        f"({self._kernel_retry.last_error}); retrying "
+                        "after backoff"
+                    )
+                self._answer_fused(live, kernel, counter, "fused")
         except Exception as exc:  # surface backend failures to callers
             for pending in live:
                 if not pending.future.done():
                     pending.future.set_exception(exc)
         self.metrics.record_batch(len(live), counter)
 
-    def _answer_single(self, pending: _Pending, counter: OpCounter) -> None:
-        """Low-load fast path: straight through the per-query engine.
+    def _answer_locked(self, pending: _Pending, counter: OpCounter) -> None:
+        """Flat dynamic engine: one request under the engine's own lock.
 
         The span closes before the future resolves, so the submitting
         thread never reads a trace whose dispatch span is still open.
         """
         with use_context(pending.ctx), span("engine.query") as sp:
             sp.annotate("kind", pending.kind)
+            sp.annotate("answer_path", "engine_locked")
             lock = self._engine_lock
             if lock is not None:
                 lock.acquire()
@@ -374,6 +403,7 @@ class MicroBatchScheduler:
                 if lock is not None:
                     lock.release()
         counter.merge(result.counter)
+        self.metrics.record_answers("engine_locked")
         pending.future.set_result(result)
 
     def _answer_snapshot(self, live: List[_Pending], snap,
@@ -381,136 +411,131 @@ class MicroBatchScheduler:
         """MVCC path: the whole batch reads one pinned snapshot.
 
         No engine lock is taken — writers proceed concurrently and the
-        batch still sees one consistent state.  A coalesced batch may
-        run through a densified :class:`~repro.storage.SnapshotKernel`
-        (byte-identical answers, BLAS arithmetic); a batch of one uses
-        the snapshot's merge path directly.
+        batch still sees one consistent state.  The batch runs through
+        the snapshot's fused kernel; while that is unavailable the
+        snapshot's exact merge path answers instead.
         """
-        kernel = self._get_snapshot_kernel(snap) if len(live) > 1 else None
-        if kernel is not None and len(live) > 1 and \
-                self._answer_fused(live, kernel, counter):
+        kernel = self._get_snapshot_kernel(snap)
+        if kernel is not None:
+            self._answer_fused(live, kernel, counter, "snapshot_fused")
             return
         for pending in live:
             with use_context(pending.ctx), span("snapshot.query") as sp:
                 sp.annotate("kind", pending.kind)
                 sp.annotate("batch_size", len(live))
                 sp.annotate("generation", snap.generation)
-                backend = kernel if kernel is not None else snap
+                sp.annotate("answer_path", "snapshot_merge")
                 if pending.kind == "rtk":
-                    result = backend.reverse_topk(pending.q, pending.k)
+                    result = snap.reverse_topk(pending.q, pending.k)
                 else:
-                    result = backend.reverse_kranks(pending.q, pending.k)
-                if kernel is not None and kernel.last_stats is not None:
-                    stats = kernel.last_stats.snapshot()
-                    sp.annotate("kernel_stats", stats)
-                    self.metrics.record_kernel(
-                        stats, trace_id=current_trace_id()
-                    )
+                    result = snap.reverse_kranks(pending.q, pending.k)
             counter.merge(result.counter)
+            self.metrics.record_answers("snapshot_merge")
             pending.future.set_result(result)
 
     def _answer_fused(self, live: List[_Pending], backend,
-                      counter: OpCounter) -> bool:
+                      counter: OpCounter, path: str) -> None:
         """Answer the whole batch through the fused multi-query kernel.
 
         Requests are grouped by kind and each group runs as *one*
         ``reverse_topk_batch`` / ``reverse_kranks_batch`` call, sharing
-        the (P-block × W-block) boundary matmuls across every query of
-        the group — byte-identical to the per-query path (the property
-        suite enforces it).  Returns False (with no futures touched) on
-        any failure, so the caller's per-query loop remains the
-        fallback.
+        the (P-tile × W-block) boundary matmuls across every query of
+        the group — byte-identical to NaiveRRQ (the property suite
+        enforces it).  Futures resolve only after every group answered,
+        so a failure leaves them all to the caller.
         """
-        if not hasattr(backend, "reverse_topk_batch"):
-            return False
         groups: dict = {}
         for idx, pending in enumerate(live):
             groups.setdefault(pending.kind, []).append(idx)
-        try:
-            results: List[Optional[object]] = [None] * len(live)
-            fused_stats = []
-            for kind, idxs in groups.items():
-                queries = [live[i].q for i in idxs]
-                ks = [live[i].k for i in idxs]
-                if kind == "rtk":
-                    answers = backend.reverse_topk_batch(queries, ks)
-                else:
-                    answers = backend.reverse_kranks_batch(queries, ks)
-                for i, res in zip(idxs, answers):
-                    results[i] = res
-                if backend.last_stats is not None:
-                    fused_stats.append(backend.last_stats.snapshot())
-        except Exception:
-            return False
-        for stats in fused_stats:
-            self.metrics.record_kernel(stats)
+        results: List[Optional[object]] = [None] * len(live)
+        group_stats = {}
+        for kind, idxs in groups.items():
+            queries = [live[i].q for i in idxs]
+            ks = [live[i].k for i in idxs]
+            if kind == "rtk":
+                answers = backend.reverse_topk_batch(queries, ks)
+            else:
+                answers = backend.reverse_kranks_batch(queries, ks)
+            for i, res in zip(idxs, answers):
+                results[i] = res
+            stats = backend.last_stats.snapshot()
+            group_stats[kind] = stats
+            ctx = live[idxs[0]].ctx
+            self.metrics.record_kernel(
+                stats, trace_id=ctx.trace.trace_id if ctx else None)
+        self.metrics.record_answers(path, len(live))
         for pending, result in zip(live, results):
             with use_context(pending.ctx), span("kernel.fused") as sp:
                 sp.annotate("kind", pending.kind)
                 sp.annotate("batch_size", len(live))
-                sp.annotate("fused", True)
+                sp.annotate("answer_path", path)
+                sp.annotate("kernel_stats", group_stats[pending.kind])
             counter.merge(result.counter)
             pending.future.set_result(result)
-        return True
 
     def _get_snapshot_kernel(self, snap):
-        """Densified kernel for ``snap``, cached across coalesced batches.
+        """Fused kernel for ``snap``, cached across batches.
 
-        Rebuilt only when the store generation moved; a build failure is
-        remembered and the merge path serves from then on.
+        Rebuilt only when the store generation (or the tuned config)
+        moved.  ``None`` sends the batch down the merge path: when a
+        side of the snapshot is empty, or a build failed and its retry
+        backoff has not elapsed yet.
         """
-        if not self._use_snapshot_kernel or self._snap_kernel_failed:
-            return None
         cached = self._snap_kernel
         tuning = self._snapshot_tuning
         variant = tuning.short() if tuning is not None else None
         if cached is not None and cached.matches(snap) and \
                 getattr(cached, "variant", None) == variant:
             return cached
+        if not self._snap_kernel_retry.ready():
+            return None
         try:
             from ..storage import SnapshotKernel
 
-            self._snap_kernel = SnapshotKernel.build(
-                snap, cache_dir=self.kernel_cache_dir,
-                tuning=self._snapshot_tuning,
+            kernel = SnapshotKernel.build(
+                snap, cache_dir=self.kernel_cache_dir, tuning=tuning,
             )
-        except Exception:
-            self._snap_kernel_failed = True
+        except Exception as exc:  # serving falls back to the merge path
+            self._snap_kernel_retry.failed(exc)
             self._snap_kernel = None
-        return self._snap_kernel
+            return None
+        self._snap_kernel_retry.succeeded()
+        self._snap_kernel = kernel
+        return kernel
 
     def _get_kernel(self) -> Optional[GirKernelRRQ]:
-        """The batch-path kernel, built lazily on first use.
+        """The static engine's fused kernel, built lazily on first use.
 
-        Wraps the engine's own grid when the engine is (or fronts) a
+        Loaded from the kernel cache when a valid entry exists; else it
+        wraps the engine's own grid when the engine is (or fronts) a
         :class:`~repro.core.gir.GridIndexRRQ` — no re-quantization —
-        otherwise quantizes fresh from the static arrays.  A build
-        failure is remembered and the dense sweep is used from then on;
-        serving must not die because an optimization could not start.
+        and otherwise quantizes fresh from the static arrays.  A build
+        failure returns ``None`` and is retried after a backoff, so one
+        failure never switches the process off the kernel for good.
         """
-        if not self.use_kernel or self._kernel_failed:
+        if self._kernel is not None or not self._kernel_retry.ready():
+            return self._kernel
+        try:
+            kernel = self._load_cached_static_kernel()
+            if kernel is None:
+                kernel = self._build_static_kernel()
+                self._save_static_kernel(kernel)
+        except Exception as exc:  # requests get the naive fallback
+            self._kernel_retry.failed(exc)
             return None
-        if self._kernel is None:
-            try:
-                self._kernel = self._load_cached_static_kernel()
-                if self._kernel is not None:
-                    return self._kernel
-                from ..core.gir import GridIndexRRQ
+        self._kernel_retry.succeeded()
+        self._kernel = kernel
+        return kernel
 
-                algorithm = getattr(self.engine, "algorithm", self.engine)
-                if isinstance(algorithm, GirKernelRRQ):
-                    self._kernel = algorithm
-                elif isinstance(algorithm, GridIndexRRQ):
-                    self._kernel = GirKernelRRQ.from_gir(algorithm)
-                else:
-                    self._kernel = GirKernelRRQ(
-                        self.engine.products, self.engine.weights
-                    )
-                self._save_static_kernel(self._kernel)
-            except Exception:
-                self._kernel_failed = True
-                return None
-        return self._kernel
+    def _build_static_kernel(self) -> GirKernelRRQ:
+        from ..core.gir import GridIndexRRQ
+
+        algorithm = getattr(self.engine, "algorithm", self.engine)
+        if isinstance(algorithm, GirKernelRRQ):
+            return algorithm
+        if isinstance(algorithm, GridIndexRRQ):
+            return GirKernelRRQ.from_gir(algorithm)
+        return GirKernelRRQ(self.engine.products, self.engine.weights)
 
     def _expected_static_digest(self) -> Optional[str]:
         """The config digest the static-path kernel build *would* produce.
@@ -638,7 +663,7 @@ class MicroBatchScheduler:
             except Exception:
                 pass
         self._kernel = kernel
-        self._kernel_failed = False
+        self._kernel_retry.succeeded()
 
     def set_snapshot_tuning(self, config) -> None:
         """Adopt a tuned config for snapshot kernels (MVCC engines).
@@ -646,59 +671,9 @@ class MicroBatchScheduler:
         The next ``_get_snapshot_kernel`` miss rebuilds under
         ``config`` (a :class:`~repro.tuning.tuner.CandidateConfig`);
         callers pair this with an engine checkpoint so a fresh
-        generation exists to densify.  Clearing the failure latch lets
-        a previously failed build retry under the new config.
+        generation exists to densify.  A pending build backoff is
+        cleared, so the new config is tried on the next batch.
         """
         self._snapshot_tuning = config
         self._snap_kernel = None
-        self._snap_kernel_failed = False
-
-    def _answer_batched(self, live: List[_Pending],
-                        counter: OpCounter) -> None:
-        """Coalesced path: the blocked kernel, or one shared rank sweep.
-
-        Both produce answers byte-identical to the per-query engine
-        (derivation from the rank vector mirrors
-        :class:`~repro.vectorized.batch.BatchOracle`; the kernel's
-        equivalence is enforced by the property tests), so the HTTP
-        payloads never depend on which path ran.
-        """
-        kernel = self._get_kernel()
-        if kernel is not None:
-            if len(live) > 1 and self._answer_fused(live, kernel, counter):
-                return
-            for pending in live:
-                with use_context(pending.ctx), span("kernel.query") as sp:
-                    sp.annotate("kind", pending.kind)
-                    sp.annotate("batch_size", len(live))
-                    if pending.kind == "rtk":
-                        result = kernel.reverse_topk(pending.q, pending.k)
-                    else:
-                        result = kernel.reverse_kranks(pending.q, pending.k)
-                    if kernel.last_stats is not None:
-                        stats = kernel.last_stats.snapshot()
-                        sp.annotate("kernel_stats", stats)
-                        self.metrics.record_kernel(
-                            stats, trace_id=current_trace_id()
-                        )
-                counter.merge(result.counter)
-                pending.future.set_result(result)
-            return
-        Q = np.stack([pending.q for pending in live])
-        rank_matrix = all_ranks_multi(self._P, self._W, Q, self.chunk_budget)
-        # One shared sweep: |P| * |W| pairwise products total, not per query.
-        counter.pairwise += self._P.shape[0] * self._W.shape[0]
-        for pending, row in zip(live, rank_matrix):
-            with use_context(pending.ctx), span("batch.derive") as sp:
-                sp.annotate("kind", pending.kind)
-                sp.annotate("batch_size", len(live))
-                sp.annotate("shared_sweep", True)
-                if pending.kind == "rtk":
-                    qualifying = frozenset(
-                        int(i) for i in np.nonzero(row < pending.k)[0]
-                    )
-                    result = RTKResult(weights=qualifying, k=pending.k)
-                else:
-                    pairs = [(int(r), int(i)) for i, r in enumerate(row)]
-                    result = make_rkr_result(pairs, pending.k, OpCounter())
-            pending.future.set_result(result)
+        self._snap_kernel_retry.reset()

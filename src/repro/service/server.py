@@ -32,9 +32,10 @@ the id minted at ingress (or accepted from the request's own
 
 Answers are canonical JSON (sorted keys): a served RTK/RKR answer is
 byte-identical to :func:`encode_result` of the corresponding
-:class:`~repro.queries.engine.RRQEngine` result, whichever execution path
-(per-query or coalesced) produced it — the integration tests enforce this
-against :class:`~repro.algorithms.naive.NaiveRRQ`.
+:class:`~repro.queries.engine.RRQEngine` result, whichever answer path
+(fused kernel, snapshot merge, naive fallback) produced it — the
+integration tests enforce this against
+:class:`~repro.algorithms.naive.NaiveRRQ`.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class ServiceConfig:
     failures open the circuit; after ``breaker_reset_s`` one probe
     request tries the primary again (self-healing).
 
-    ``use_kernel`` routes coalesced micro-batches through the
-    weight-blocked GIR kernel (answers are byte-identical either way;
-    see :class:`~repro.service.scheduler.MicroBatchScheduler`).
-
     The observability knobs: ``trace_capacity`` bounds the in-memory
     ring behind ``GET /traces`` (``trace_export_path`` additionally
     appends finished traces as JSON lines); requests at or above
@@ -113,7 +110,6 @@ class ServiceConfig:
     fallback: bool = True
     breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
     breaker_reset_s: float = DEFAULT_RESET_AFTER_S
-    use_kernel: bool = True
     kernel_cache_dir: Optional[str] = None
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
     trace_export_path: Optional[str] = None
@@ -196,7 +192,6 @@ class QueryService:
             batch_window_s=self.config.batch_window_s,
             limits=self.config.limits,
             metrics=self.metrics,
-            use_kernel=self.config.use_kernel,
             kernel_cache_dir=self.config.kernel_cache_dir,
         )
         self.breaker = CircuitBreaker(
@@ -440,6 +435,8 @@ class QueryService:
                 "engine unavailable (circuit open) and fallback disabled"
             )
         sp.annotate("fallback", True)
+        sp.annotate("answer_path", "naive_fallback")
+        self.metrics.record_answers("naive_fallback")
         if kind == "rtk":
             result = fallback.reverse_topk(q_arr, k)
         else:
@@ -468,7 +465,6 @@ class QueryService:
             "max_batch": self.config.limits.max_batch,
             "default_deadline_s": self.config.limits.default_deadline_s,
             "fallback": self.config.fallback,
-            "use_kernel": self.config.use_kernel,
             "kernel_cache_dir": self.config.kernel_cache_dir,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_reset_s": self.config.breaker_reset_s,
@@ -801,6 +797,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-rrq"
     protocol_version = "HTTP/1.1"
+    # Responses go out in one write (see _send_body); with Nagle left on,
+    # a split header/body write waits on the client's delayed ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if getattr(self.server, "verbose", False):  # pragma: no cover
@@ -822,8 +821,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # Load shedding tells well-behaved clients when to come back.
             self.send_header("Retry-After",
                              str(max(1, int(round(obj["retry_after_s"])))))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; version=0.0.4") -> None:
@@ -831,8 +829,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(body)
+
+    def _send_body(self, body: bytes) -> None:
+        """End the headers and send them with ``body`` in one write."""
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     _MUTATION_PATHS = ("/insert", "/delete", "/modify", "/compact",
                        "/rebuild", "/snapshot", "/promote", "/retarget")

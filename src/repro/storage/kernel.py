@@ -18,11 +18,15 @@ Build cost is O((|P| + |W|) d) quantization — amortized two ways:
 
 * :meth:`SnapshotKernel.matches`: the scheduler caches the kernel and
   rebuilds only when the store generation moved;
-* ``cache_dir``: each generation's densified kernel (plus its id maps)
-  is persisted through :mod:`repro.vectorized.kernelstore`, so a
-  *process restart* against an unchanged store re-acquires the kernel
-  by memory-mapping ``<cache_dir>/gen-<N>`` instead of rebuilding —
-  O(mmap) warm start.  Older generations are pruned after each save.
+* ``cache_dir``: the densified kernel of a *sealed* state (empty delta)
+  is persisted through :mod:`repro.vectorized.kernelstore` under
+  ``<cache_dir>/gen-<manifest generation>-<lsn>`` — an identity that
+  survives a restart, unlike the in-memory store generation — so a
+  process restart against an unchanged store re-acquires it by
+  memory-mapping instead of rebuilding.  A cached entry is used only if
+  its saved id maps equal the snapshot's live ids; older entries are
+  pruned after each save.  States with a non-empty delta are never
+  persisted: they change with every write.
 """
 
 from __future__ import annotations
@@ -82,12 +86,17 @@ class SnapshotKernel:
         ``tuning`` (a :class:`~repro.tuning.tuner.CandidateConfig`)
         overrides the default grid recipe: the kernel is built by
         :func:`~repro.tuning.tuner.build_tuned_kernel` and cached under
-        ``gen-<N>-<variant>`` so tuned and default entries never alias.
+        ``gen-<N>-<lsn>-<variant>`` so tuned and default entries never
+        alias.  Only snapshots with an empty delta touch the cache.
         """
+        if snapshot.num_products == 0 or snapshot.num_weights == 0:
+            return None
         variant = None
         if tuning is not None:
             use_domin = bool(tuning.use_domin)
             variant = tuning.short()
+        if not snapshot.delta_empty:
+            cache_dir = None
         if cache_dir is not None:
             cached = cls._load_cached(snapshot, use_domin, cache_dir,
                                       variant=variant)
@@ -95,8 +104,6 @@ class SnapshotKernel:
                 return cached
         p_rows, p_gids = snapshot.live_products()
         w_rows, w_gids = snapshot.live_weights()
-        if p_rows.shape[0] == 0 or w_rows.shape[0] == 0:
-            return None
         products = ProductSet(p_rows, value_range=snapshot.value_range)
         weights = WeightSet(w_rows)
         if tuning is not None:
@@ -113,7 +120,7 @@ class SnapshotKernel:
         built = cls(kernel, p_gids, w_gids, snapshot.generation,
                     variant=variant)
         if cache_dir is not None:
-            built.persist(cache_dir)
+            built.persist(cache_dir, snapshot)
         return built
 
     # ------------------------------------------------------------------
@@ -121,9 +128,9 @@ class SnapshotKernel:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _gen_dir(cache_dir: PathLike, generation: int,
+    def _gen_dir(cache_dir: PathLike, snapshot: StoreSnapshot,
                  variant: Optional[str] = None) -> Path:
-        name = f"gen-{int(generation)}"
+        name = f"gen-{snapshot.manifest_generation}-{snapshot.lsn}"
         if variant is not None:
             name = f"{name}-{variant}"
         return Path(cache_dir) / name
@@ -132,7 +139,7 @@ class SnapshotKernel:
     def _load_cached(cls, snapshot: StoreSnapshot, use_domin: bool,
                      cache_dir: PathLike, variant: Optional[str] = None,
                      ) -> Optional["SnapshotKernel"]:
-        gen_dir = cls._gen_dir(cache_dir, snapshot.generation, variant)
+        gen_dir = cls._gen_dir(cache_dir, snapshot, variant)
         try:
             kernel, extras = load_kernel_bundle(gen_dir)
         except (IndexCorruptionError, DataValidationError, OSError):
@@ -140,14 +147,22 @@ class SnapshotKernel:
         if kernel.core.use_domin != use_domin or \
                 "p_gids" not in extras or "w_gids" not in extras:
             return None
+        # The key names a sealed state, but only the ids prove it: an
+        # entry written by another store (or before a lost commit) is
+        # refused, and rebuilt, unless its ids are this snapshot's.
+        if not (np.array_equal(extras["p_gids"], snapshot.live_products()[1])
+                and np.array_equal(extras["w_gids"],
+                                   snapshot.live_weights()[1])):
+            return None
         return cls(kernel, np.asarray(extras["p_gids"]),
                    np.asarray(extras["w_gids"]),
                    snapshot.generation, mmap_loaded=True, variant=variant)
 
-    def persist(self, cache_dir: PathLike) -> Path:
-        """Save this kernel to ``<cache_dir>/gen-<generation>`` and prune
-        entries for other (stale) generations.  Returns the entry path."""
-        gen_dir = self._gen_dir(cache_dir, self.generation, self.variant)
+    def persist(self, cache_dir: PathLike, snapshot: StoreSnapshot) -> Path:
+        """Save this kernel (built from ``snapshot``, whose delta must be
+        empty) under ``cache_dir`` and prune every other entry.  Returns
+        the entry path."""
+        gen_dir = self._gen_dir(cache_dir, snapshot, self.variant)
         save_kernel(gen_dir, self.kernel, extras={
             "p_gids": np.asarray(self.p_gids, dtype=np.int64),
             "w_gids": np.asarray(self.w_gids, dtype=np.int64),

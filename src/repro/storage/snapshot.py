@@ -65,7 +65,8 @@ class StoreSnapshot:
     def __init__(self, store, segments: Sequence[Segment], delta_view: dict,
                  dead_products: frozenset, dead_weights: frozenset,
                  next_pid: int, next_wid: int, generation: int, lsn: int,
-                 dim: int, value_range: float, chunk: int):
+                 dim: int, value_range: float, chunk: int,
+                 manifest_generation: int):
         self._store = store
         self.segments: Tuple[Segment, ...] = tuple(segments)
         self._delta = delta_view
@@ -77,6 +78,10 @@ class StoreSnapshot:
         self.generation = int(generation)
         #: Manifest barrier LSN at pin time.
         self.lsn = int(lsn)
+        #: Committed manifest generation at pin time.  Unlike
+        #: ``generation`` it survives a restart, so together with ``lsn``
+        #: it names a sealed state persistently (kernel cache keys).
+        self.manifest_generation = int(manifest_generation)
         self.dim = int(dim)
         self.value_range = float(value_range)
         self.chunk = int(chunk)
@@ -149,6 +154,13 @@ class StoreSnapshot:
     def num_weights(self) -> int:
         self.num_products  # populate the cached pair
         return self._counts[1]
+
+    @property
+    def delta_empty(self) -> bool:
+        """True when the snapshot is exactly its committed manifest state."""
+        d = self._delta
+        return not (d["p_ids"].size or d["w_ids"].size
+                    or d["dead_products"] or d["dead_weights"])
 
     def live_products(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(rows, global ids)`` of every live product, ascending by id."""

@@ -441,6 +441,7 @@ class SegmentStore:
                 next_pid=self._next_pid, next_wid=self._next_wid,
                 generation=self._generation, lsn=self._manifest_lsn,
                 dim=self.dim, value_range=self.value_range, chunk=self.chunk,
+                manifest_generation=self._manifest_generation,
             )
 
     def _release_pins(self, segments: Tuple[Segment, ...]) -> None:

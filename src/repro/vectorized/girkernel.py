@@ -67,6 +67,9 @@ DEFAULT_P_BLOCK = 2048
 #: survivor set is thin.
 FIRST_P_TILE = 256
 
+#: Undecided pairs scored per exact-refinement step.
+REFINE_CHUNK = 8192
+
 #: Filter dtypes the kernel accepts.  ``float32`` halves the memory
 #: traffic of the bound matmuls (the ~85% filter stage) and is proven
 #: safe by widening the classification gates by :func:`f32_gamma` — any
@@ -487,15 +490,21 @@ class KernelCore:
         cols = und_cols[keep]
         add = np.zeros(B, dtype=np.int64)
         if rows.size:
-            w_rows = self.W[ws + cols]
-            scores = np.einsum("ij,ij->i", self.P[rows], w_rows)
-            f = fq[cols]
-            t = tol[cols]
-            better = scores < f - t
-            near = np.flatnonzero(np.abs(scores - f) <= t)
-            for i in near:
-                better[i] = exact_strictly_less(w_rows[i], self.P[rows[i]], q)
-            add = np.bincount(cols[better], minlength=B)
+            # Chunked so the gathered operand rows stay small however
+            # wide the undecided band is (it bounds the query's peak RSS).
+            for cs in range(0, rows.size, REFINE_CHUNK):
+                r = rows[cs:cs + REFINE_CHUNK]
+                c = cols[cs:cs + REFINE_CHUNK]
+                w_rows = self.W[ws + c]
+                scores = np.einsum("ij,ij->i", self.P[r], w_rows)
+                f = fq[c]
+                t = tol[c]
+                better = scores < f - t
+                near = np.flatnonzero(np.abs(scores - f) <= t)
+                for i in near:
+                    better[i] = exact_strictly_less(w_rows[i], self.P[r[i]],
+                                                    q)
+                add += np.bincount(c[better], minlength=B)
             counter.pairwise += rows.size
             counter.points_accessed += rows.size
             counter.refined += rows.size
@@ -652,13 +661,11 @@ class KernelCore:
         if self._f32:
             hi_cmp, lo_cmp = self._f32_gates(hi_gate, lo_gate)
             pa_hi_f, pa_lo_f = self.pa_hi32, self.pa_lo32
-            wb_hi_t = self.wb_hi32[ws:we].T
-            wb_lo_t = self.wb_lo32[ws:we].T
+            wb_hi_all, wb_lo_all = self.wb_hi32[ws:we], self.wb_lo32[ws:we]
         else:
             hi_cmp, lo_cmp = hi_gate, lo_gate
             pa_hi_f, pa_lo_f = self.pa_hi, self.pa_lo
-            wb_hi_t = self.wb_hi[ws:we].T
-            wb_lo_t = self.wb_lo[ws:we].T
+            wb_hi_all, wb_lo_all = self.wb_hi[ws:we], self.wb_lo[ws:we]
         for counter in counters:
             counter.pairwise += B
         counts = np.empty((nq, B), dtype=np.int64)
@@ -671,12 +678,14 @@ class KernelCore:
         und_rows: List[List[np.ndarray]] = [[] for _ in range(nq)]
         und_cols: List[List[np.ndarray]] = [[] for _ in range(nq)]
         neg_inf = np.float32(-np.inf) if self._f32 else -np.inf
-        wb_hi_all = self.wb_hi32[ws:we] if self._f32 else self.wb_hi[ws:we]
-        wb_lo_all = self.wb_lo32[ws:we] if self._f32 else self.wb_lo[ws:we]
-        #: Tile score matrices, kept for the deferred undecided-pair
-        #: extraction (the refine step only ever touches columns alive
-        #: at block end, so extraction waits until then).
+        # Kept for the deferred undecided-pair extraction (the refine
+        # step only ever touches columns alive at block end, so it waits
+        # until then): sorted tiles keep their shared score matrices,
+        # direct-count tiles each query's undecided mask — one byte per
+        # pair instead of eight bytes of scores.
         tile_scores: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        und_masks: List[List[Tuple[int, np.ndarray, np.ndarray]]] = [
+            [] for _ in range(nq)]
         for ps, pe in self._tiles(self.P.shape[0]):
             # Union compaction: a column enters the shared gemm while
             # *any* query still needs it (block-local sorted indices).
@@ -690,16 +699,6 @@ class KernelCore:
             # contiguous row: one gemm pair per tile feeds every query.
             uT = wb_hi_sel @ pa_hi_f[ps:pe].T          # (U, rows)
             lT = wb_lo_sel @ pa_lo_f[ps:pe].T
-            tile_scores.append((ps, live_cols, uT, lT))
-            # The tile's scores are query-independent, so sort them
-            # once per side and answer *all* queries' gate counts by
-            # binary search: O(rows log rows) shared, O(nq log rows)
-            # per column — instead of nq dense compare sweeps.  Both
-            # sides share one stacked sort + one count pass; the
-            # low side's non-strict ``<=`` becomes a strict ``<``
-            # against ``nextafter(gate)`` — exact for floats.
-            stacked = np.concatenate((uT, lT), axis=0)
-            stacked.sort(axis=1)
             # Gates over the union slice, one (U, nq) matrix per side;
             # a column another query keeps live but this one has pruned
             # gets a -inf gate, so it can produce neither case-1 nor
@@ -707,38 +706,26 @@ class KernelCore:
             act_u = active.T if full else active.T[live_cols]
             g_hi = np.where(act_u, hi_cmp[live_cols], neg_inf)
             g_lo = np.where(act_u, lo_cmp[live_cols], neg_inf)
-            g_lo_open = np.where(act_u,
-                                 np.nextafter(lo_cmp[live_cols], np.inf),
-                                 neg_inf)
-            tallies = _count_sorted(stacked,
-                                    np.concatenate((g_hi, g_lo_open)),
-                                    strict=True)
-            U = uT.shape[0]
-            case1_per_col = tallies[:U]
-            lowhit_per_col = tallies[U:]
-            for qi in range(nq):
-                excl = batch.excl[qi]
-                if excl is None:
-                    continue
-                lo_i, hi_i = np.searchsorted(excl, (ps, pe))
-                if hi_i <= lo_i:
-                    continue
-                # The sorted tallies count every row; subtract the
-                # excluded rows' contributions directly (|excl| is
-                # tiny: dominators and duplicates of one query).
-                local = excl[lo_i:hi_i] - ps
-                case1_per_col[:, qi] -= np.count_nonzero(
-                    uT[:, local] < g_hi[:, qi, None], axis=1)
-                lowhit_per_col[:, qi] -= np.count_nonzero(
-                    lT[:, local] <= g_lo[:, qi, None], axis=1)
+            if nq < np.log2(pe - ps) / 2:
+                # Few queries: nq direct compare sweeps beat a sort of
+                # the tile (one query's sweep — compare, mask and tally
+                # on both sides — costs about two of the sort's
+                # log2(rows) passes), and only their undecided masks
+                # outlive the tile.
+                case1_per_col, und_per_col, masks = self._count_direct(
+                    uT, lT, g_hi, g_lo, batch.excl, ps, pe)
+                for qi, mask in enumerate(masks):
+                    if mask is not None:
+                        und_masks[qi].append((ps, live_cols, mask))
+            else:
+                tile_scores.append((ps, live_cols, uT, lT))
+                case1_per_col, und_per_col = self._count_by_sort(
+                    uT, lT, g_hi, g_lo, batch.excl, ps, pe, neg_inf)
+            gap[:, live_cols] += und_per_col.T
             counts[:, live_cols] += case1_per_col.T
-            # Bounds give lower <= upper, so case-1 implies the
-            # low-side hit: the tally gap *is* the undecided count.
-            diff = lowhit_per_col - case1_per_col
-            gap[:, live_cols] += diff.T
             n_act_q = np.count_nonzero(act_u, axis=0)          # (nq,)
             n_case1_q = case1_per_col.sum(axis=0)              # (nq,)
-            n_und_q = diff.sum(axis=0)
+            n_und_q = und_per_col.sum(axis=0)
             for qi in range(nq):
                 n_act = int(n_act_q[qi])
                 if n_act == 0:
@@ -761,13 +748,19 @@ class KernelCore:
         # Deferred undecided-pair extraction: only columns that are
         # still alive ever reach the refine step (``_refine`` keeps
         # ``alive[und_cols]``), and an alive column was active in every
-        # tile, so scanning the stashed tile scores reproduces exactly
-        # the pairs a per-tile extraction would have kept — at the cost
-        # of a handful of candidate columns instead of dense sweeps.
+        # tile, so scanning the stashed masks and tile scores reproduces
+        # exactly the pairs a per-tile extraction would have kept — at
+        # the cost of a handful of candidate columns instead of dense
+        # sweeps.
         for qi in range(nq):
             cand = np.flatnonzero(active[qi] & (gap[qi] > 0))
             if cand.size == 0:
                 continue
+            for ps, live_cols, mask in und_masks[qi]:
+                cc, rr = np.nonzero(mask[np.searchsorted(live_cols, cand)])
+                if rr.size:
+                    und_rows[qi].append(rr + ps)
+                    und_cols[qi].append(cand[cc])
             g_hi_q = hi_cmp[cand, qi][:, None]
             g_lo_q = lo_cmp[cand, qi][:, None]
             excl = batch.excl[qi]
@@ -790,6 +783,73 @@ class KernelCore:
                     for c in und_cols]
         stats.filter_s += perf_counter() - t0
         return counts, FQ, TOL, rows_cat, cols_cat
+
+    @staticmethod
+    def _count_direct(uT, lT, g_hi, g_lo, excl_rows, ps, pe):
+        """Per-column case-1 / undecided tallies by direct comparison.
+
+        One dense ``<`` and one ``<=`` sweep per query over the tile.
+        Also returns each query's undecided mask (``None`` when empty)
+        for the deferred extraction.
+        """
+        U, nq = g_hi.shape
+        case1_per_col = np.empty((U, nq), dtype=np.int64)
+        und_per_col = np.empty((U, nq), dtype=np.int64)
+        masks: List[Optional[np.ndarray]] = []
+        for qi in range(nq):
+            case1 = uT < g_hi[:, qi, None]
+            und = lT <= g_lo[:, qi, None]
+            excl = excl_rows[qi]
+            if excl is not None:
+                lo_i, hi_i = np.searchsorted(excl, (ps, pe))
+                if hi_i > lo_i:
+                    local = excl[lo_i:hi_i] - ps
+                    case1[:, local] = False
+                    und[:, local] = False
+            np.greater(und, case1, out=und)            # und & ~case1
+            case1_per_col[:, qi] = np.count_nonzero(case1, axis=1)
+            und_per_col[:, qi] = np.count_nonzero(und, axis=1)
+            masks.append(und if und_per_col[:, qi].any() else None)
+        return case1_per_col, und_per_col, masks
+
+    @staticmethod
+    def _count_by_sort(uT, lT, g_hi, g_lo, excl_rows, ps, pe, neg_inf):
+        """Per-column case-1 / undecided tallies for many queries at once.
+
+        The tile's scores are query-independent, so they are sorted
+        once per side and *all* queries' gate counts are answered by
+        binary search: O(rows log rows) shared, O(nq log rows) per
+        column — instead of nq dense compare sweeps.  Both sides share
+        one stacked sort + one count pass; the low side's non-strict
+        ``<=`` becomes a strict ``<`` against ``nextafter(gate)`` —
+        exact for floats.
+        """
+        stacked = np.concatenate((uT, lT), axis=0)
+        stacked.sort(axis=1)
+        g_lo_open = np.where(g_lo == neg_inf, neg_inf,
+                             np.nextafter(g_lo, np.inf))
+        tallies = _count_sorted(stacked, np.concatenate((g_hi, g_lo_open)),
+                                strict=True)
+        U = uT.shape[0]
+        case1_per_col = tallies[:U]
+        lowhit_per_col = tallies[U:]
+        for qi, excl in enumerate(excl_rows):
+            if excl is None:
+                continue
+            lo_i, hi_i = np.searchsorted(excl, (ps, pe))
+            if hi_i <= lo_i:
+                continue
+            # The sorted tallies count every row; subtract the excluded
+            # rows' contributions directly (|excl| is tiny: dominators
+            # and duplicates of one query).
+            local = excl[lo_i:hi_i] - ps
+            case1_per_col[:, qi] -= np.count_nonzero(
+                uT[:, local] < g_hi[:, qi, None], axis=1)
+            lowhit_per_col[:, qi] -= np.count_nonzero(
+                lT[:, local] <= g_lo[:, qi, None], axis=1)
+        # Bounds give lower <= upper, so case-1 implies the low-side
+        # hit: the tally gap *is* the undecided count.
+        return case1_per_col, lowhit_per_col - case1_per_col
 
     def rtk_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
                   counters: List[OpCounter],

@@ -7,7 +7,9 @@ micro-batched path actually exercised (at least one coalesced batch of
 size > 1 visible in ``/metrics``).
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.request
 
@@ -171,3 +173,66 @@ class TestEndpoints:
             naive.reverse_topk(P[5], 9).weights
         assert client.reverse_kranks(P[5], k=3) == \
             naive.reverse_kranks(P[5], 3).entries
+
+
+class TestResponseWrites:
+    """Each response leaves in one write on a TCP_NODELAY socket.
+
+    A header write followed by a separate body write, with Nagle on,
+    holds the body until the client's delayed ACK arrives (~40 ms per
+    response).  This pins the structure that prevents it rather than a
+    timing: one ``send`` per response on one keep-alive connection.
+    """
+
+    def test_one_write_per_response_with_nodelay(self, data, naive,
+                                                 monkeypatch):
+        from repro.service.server import _RequestHandler
+
+        writes, nodelay = [], []
+        setup = _RequestHandler.setup
+
+        class CountingWriter:
+            def __init__(self, raw):
+                self._raw = raw
+
+            def write(self, data):
+                writes.append(bytes(data))
+                return self._raw.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self._raw, name)
+
+        def counting_setup(handler):
+            setup(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            handler.wfile = CountingWriter(handler.wfile)
+
+        monkeypatch.setattr(_RequestHandler, "setup", counting_setup)
+        P, W = data
+        service = QueryService.from_datasets(
+            P, W, method="gir", config=ServiceConfig(batch_window_s=0.0))
+        expected = canonical_json(encode_result(
+            naive.reverse_topk(P[3], 10), "rtk"))
+        with serve_in_background(service) as server:
+            host, port = server.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                bodies = []
+                for method, path, body in (
+                        ("POST", "/query", json.dumps(
+                            {"product": 3, "kind": "rtk", "k": 10})),
+                        ("GET", "/healthz", None),
+                        ("GET", "/metrics?format=prometheus", None)):
+                    conn.request(method, path, body=body)
+                    response = conn.getresponse()
+                    assert response.status == 200
+                    bodies.append(response.read())
+            finally:
+                conn.close()
+        assert bodies[0] == expected
+        assert len(nodelay) == 1 and nodelay[0] != 0  # one connection
+        assert len(writes) == 3                       # one per response
+        for write, body in zip(writes, bodies):
+            assert write.startswith(b"HTTP/1.1 200")
+            assert write.endswith(b"\r\n\r\n" + body)

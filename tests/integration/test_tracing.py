@@ -79,10 +79,15 @@ def _get_json(base_url, path, timeout=30):
         return json.loads(resp.read())
 
 
-def _span_names(node):
-    yield node["name"]
+def _spans(node):
+    yield node
     for child in node["children"]:
-        yield from _span_names(child)
+        yield from _spans(child)
+
+
+def _span_names(node):
+    for sp in _spans(node):
+        yield sp["name"]
 
 
 class TestTraceIdEndToEnd:
@@ -111,8 +116,11 @@ class TestTraceIdEndToEnd:
         names = list(_span_names(root))
         assert names[0] == "http.query"
         assert "service.query" in names
-        # batch of one dispatches through the engine span.
-        assert "engine.query" in names or "kernel.query" in names
+        # A batch of one is answered by the fused kernel, too.
+        assert "engine.query" not in names
+        (fused,) = [sp for sp in _spans(root) if sp["name"] == "kernel.fused"]
+        assert fused["annotations"]["answer_path"] == "fused"
+        assert fused["annotations"]["batch_size"] == 1
 
         # (3) the slow-query log (threshold 0.0) captured the request,
         # with the same id and the span tree attached.
@@ -177,7 +185,7 @@ class TestTraceIdEndToEnd:
 
     def test_coalesced_batch_traces_kernel_span(self, served):
         """Concurrent traced requests: at least one trace shows the
-        batched kernel path (``kernel.query``) under its root."""
+        fused kernel path (``kernel.fused``) under its root."""
         service, client = served
         kernel_traced = []
 
@@ -208,8 +216,7 @@ class TestTraceIdEndToEnd:
                     continue
                 (root,) = found["trace"]["spans"]
                 names = list(_span_names(root))
-                if "kernel.query" in names or "kernel.fused" in names \
-                        or "batch.derive" in names:
+                if "kernel.fused" in names:
                     kernel_traced.append((tid, names))
             if kernel_traced:
                 break

@@ -5,7 +5,8 @@ The acceptance bar for the fused pass: any coalesced micro-batch —
 Q ∈ {1, 2, 5, 16}, dims 2–8, uniform and clustered data, near-tie
 pressure, float32 and float64 filter paths — must return exactly the
 answers the per-query kernel (and ``NaiveRRQ``) returns, query by
-query.  Sharing tile matmuls, sorted-tally counting and per-query
+query — on either side of the small-batch crossover, where per-tile
+gate counts switch from direct comparisons to sorted tallies.  Sharing tile matmuls, sorted-tally counting and per-query
 minRank feedback across the batch may only move *work*, never results.
 """
 
@@ -123,6 +124,41 @@ def test_fused_blocking_invariance(blocks, seed):
         ref_rkr = reference.reverse_kranks_batch(queries, k)
         blk_rkr = blocked.reverse_kranks_batch(queries, k)
         assert [r.entries for r in blk_rkr] == [r.entries for r in ref_rkr]
+
+
+@given(
+    st.sampled_from([1, 2, 3, 4, 5, 8]),
+    st.sampled_from(["float32", "float64"]),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_fused_count_crossover_matches_naive(nq, filter_dtype, seed):
+    """Both sides of the direct-count / sorted-tally crossover
+    (``nq < log2(tile rows) / 2``) answer exactly like NaiveRRQ.
+
+    300 products give a 256-row tile (crossover at nq = 4) and a
+    44-row tile (crossover at nq ~ 2.7), so nq = 3 runs both counting
+    paths inside one weight block.  A coarse value grid makes
+    duplicates of q and near-ties common; each batch also repeats one
+    query and carries a heavily dominated one.
+    """
+    rng = np.random.default_rng(seed)
+    dim = 3
+    P = ProductSet(rng.integers(0, 6, size=(300, dim)) / 6.0)
+    W_raw = rng.integers(1, 5, size=(90, dim)).astype(float)
+    W = WeightSet(W_raw / W_raw.sum(axis=1, keepdims=True))
+    kernel = GirKernelRRQ(P, W, partitions=8, filter_dtype=filter_dtype)
+    naive = NaiveRRQ(P, W)
+    queries = [P[int(i)] for i in rng.choice(P.size, size=nq)]
+    if nq >= 2:
+        queries[1] = queries[0]
+    if nq >= 3:
+        queries[2] = np.full(dim, 5.0 / 6.0)
+    k = int(rng.integers(1, 15))
+    for res, q in zip(kernel.reverse_topk_batch(queries, k), queries):
+        assert res.weights == naive.reverse_topk(q, k).weights
+    for res, q in zip(kernel.reverse_kranks_batch(queries, k), queries):
+        assert res.entries == naive.reverse_kranks(q, k).entries
 
 
 def test_fused_per_query_k_and_empty_batch():

@@ -325,3 +325,52 @@ class TestSlowQueryLog:
         log.record({"kind": "rtk", "latency_s": 1.0})
         assert log.sink_errors == 1
         assert log.stats()["recorded_total"] == 1
+
+
+class TestAnswerPathAnnotation:
+    """Every served request's trace names the path that answered it."""
+
+    @pytest.fixture
+    def service(self):
+        from repro.data.synthetic import uniform_products, uniform_weights
+        from repro.service import QueryService, ServiceConfig
+
+        service = QueryService.from_datasets(
+            uniform_products(60, 3, seed=41), uniform_weights(50, 3, seed=42),
+            method="gir", config=ServiceConfig(batch_window_s=0.0))
+        yield service
+        service.close()
+
+    @staticmethod
+    def _paths(service, trace_id):
+        notes = [(s["name"], s.get("annotations", {}))
+                 for s in _walk(service.tracer.get(trace_id)["spans"])]
+        return {name: note["answer_path"] for name, note in notes
+                if "answer_path" in note}
+
+    def test_kernel_answer_is_annotated_fused(self, service):
+        with service.tracer.trace("http.query", trace_id="ap-1"):
+            service.query(product=4, kind="rtk", k=5)
+        assert self._paths(service, "ap-1") == {"kernel.fused": "fused"}
+        snap = service.metrics_snapshot()
+        assert snap["answers"]["by_path"]["fused"] == 1
+
+    def test_fallback_answer_is_annotated_naive(self, service, monkeypatch):
+        def broken():
+            raise MemoryError("injected build failure")
+
+        monkeypatch.setattr(service.scheduler, "_build_static_kernel", broken)
+        with service.tracer.trace("http.query", trace_id="ap-2"):
+            body = service.query(product=4, kind="rkr", k=5)
+        assert body["degraded"] is True
+        assert self._paths(service, "ap-2") == {
+            "service.query": "naive_fallback"}
+        snap = service.metrics_snapshot()
+        assert snap["answers"]["by_path"]["naive_fallback"] == 1
+        assert snap["kernel"]["available"] == {"static": False}
+
+
+def _walk(nodes):
+    for node in nodes:
+        yield node
+        yield from _walk(node.get("children", []))

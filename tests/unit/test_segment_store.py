@@ -293,6 +293,96 @@ class TestDenseReaders:
                 sharded.close()
 
 
+class TestSnapshotKernelCache:
+    """The mmap cache is keyed on persistent identity (manifest
+    generation + LSN), written only for sealed states, and an entry is
+    used only when its saved ids equal the live ids."""
+
+    @staticmethod
+    def _sealed_store(directory, rng):
+        store = SegmentStore(DIM, partitions=8, directory=directory)
+        fill(store, rng, n_products=60, n_weights=400)
+        store.seal(force=True)
+        store.close()
+
+    def test_restart_with_other_rows_never_reuses_the_kernel(self, tmp_path):
+        """Regression: entries were keyed on the in-memory store
+        generation, which restarts at 0.  A process that reached the
+        same number with different rows memory-mapped the old kernel
+        (403 weight ids against 395 live weights) and answered wrong."""
+        rng = _rng(120)
+        data, cache = tmp_path / "store", tmp_path / "cache"
+        self._sealed_store(data, rng)
+        first = SegmentStore.from_directory(data)
+        for _ in range(3):
+            w = rng.uniform(0.05, 1.0, DIM)
+            first.insert_weight(w / w.sum())
+        first.insert_product(rng.uniform(0, 0.95, DIM))
+        first.insert_product(rng.uniform(0, 0.95, DIM))
+        with first.pin() as snap:
+            assert snap.generation == 5
+            built = SnapshotKernel.build(snap, cache_dir=cache)
+            assert built.w_gids.size == 403
+        first.close()
+
+        second = SegmentStore.from_directory(data)
+        for gid in range(5):
+            second.remove_weight(gid)
+        with second.pin() as snap:
+            assert snap.generation == 5
+            kernel = SnapshotKernel.build(snap, cache_dir=cache)
+        assert not kernel.mmap_loaded
+        assert kernel.w_gids.size == 395
+        assert_parity(kernel, second, rng, queries=8)
+        second.close()
+
+    def test_sealed_state_warm_starts_after_restart(self, tmp_path):
+        rng = _rng(121)
+        data, cache = tmp_path / "store", tmp_path / "cache"
+        self._sealed_store(data, rng)
+        store = SegmentStore.from_directory(data)
+        with store.pin() as snap:
+            built = SnapshotKernel.build(snap, cache_dir=cache)
+            entry = f"gen-{snap.manifest_generation}-{snap.lsn}"
+        assert not built.mmap_loaded
+        assert sorted(p.name for p in cache.iterdir()) == [entry]
+        store.close()
+
+        store = SegmentStore.from_directory(data)
+        with store.pin() as snap:
+            warm = SnapshotKernel.build(snap, cache_dir=cache)
+        assert warm.mmap_loaded
+        assert_parity(warm, store, rng)
+        # A write makes the delta non-empty: built fresh, never persisted.
+        w = rng.uniform(0.05, 1.0, DIM)
+        store.insert_weight(w / w.sum())
+        with store.pin() as snap:
+            fresh = SnapshotKernel.build(snap, cache_dir=cache)
+        assert not fresh.mmap_loaded
+        assert sorted(p.name for p in cache.iterdir()) == [entry]
+        assert_parity(fresh, store, rng)
+        store.close()
+
+    def test_entry_with_other_ids_is_refused(self, tmp_path):
+        """Two stores whose sealed states share a key (same manifest
+        generation and LSN) but not their rows: the ids tell them apart."""
+        rng = _rng(122)
+        cache = tmp_path / "cache"
+        self._sealed_store(tmp_path / "a", rng)
+        store = SegmentStore(DIM, partitions=8, directory=tmp_path / "b")
+        fill(store, rng, n_products=60, n_weights=390)
+        store.seal(force=True)
+        with SegmentStore.from_directory(tmp_path / "a").pin() as snap:
+            SnapshotKernel.build(snap, cache_dir=cache)
+        with store.pin() as snap:
+            assert f"gen-{snap.manifest_generation}-{snap.lsn}" in {
+                p.name for p in cache.iterdir()}
+            kernel = SnapshotKernel.build(snap, cache_dir=cache)
+        assert not kernel.mmap_loaded
+        assert_parity(kernel, store, rng)
+        store.close()
+
+
 class TestDurableBackendResolution:
     def test_fresh_auto_is_flat(self, tmp_path):
         from repro.durability import DurableDynamicRRQ

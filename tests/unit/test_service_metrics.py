@@ -208,6 +208,35 @@ class TestPrometheusRendering:
     def test_empty_metrics_still_lint_clean(self):
         assert lint_exposition(ServiceMetrics().prometheus()) == []
 
+    def test_answer_paths_and_kernel_availability(self):
+        metrics = ServiceMetrics()
+        metrics.record_answers("fused", 3)
+        metrics.record_answers("naive_fallback")
+        metrics.record_kernel_build("static", ok=False)
+        metrics.record_kernel_build("static", ok=True)
+        metrics.record_kernel_build("snapshot", ok=False)
+        snap = metrics.snapshot()
+        assert snap["answers"]["by_path"] == {
+            "fused": 3, "snapshot_fused": 0, "snapshot_merge": 0,
+            "engine_locked": 0, "naive_fallback": 1}
+        assert snap["kernel"]["available"] == {"static": True,
+                                               "snapshot": False}
+        assert snap["kernel"]["build_failures"] == {"static": 1,
+                                                    "snapshot": 1}
+        text = metrics.prometheus()
+        assert lint_exposition(text) == []
+        assert 'rrq_answers_total{path="fused"} 3' in text
+        assert 'rrq_answers_total{path="naive_fallback"} 1' in text
+        assert 'rrq_answers_total{path="snapshot_merge"} 0' in text
+        assert 'rrq_kernel_available{backend="static"} 1' in text
+        assert 'rrq_kernel_available{backend="snapshot"} 0' in text
+        assert 'rrq_kernel_build_failures_total{backend="static"} 1' in text
+
+    def test_kernel_gauges_absent_until_a_build(self):
+        text = ServiceMetrics().prometheus()
+        assert "rrq_kernel_available" not in text
+        assert 'rrq_answers_total{path="fused"} 0' in text
+
     def test_latency_histogram_counts_requests(self):
         metrics = ServiceMetrics()
         for latency in (0.0001, 0.003, 0.2, 9.0):

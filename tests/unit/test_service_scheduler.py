@@ -10,15 +10,20 @@ import threading
 
 import pytest
 
+from repro.algorithms.naive import NaiveRRQ
 from repro.errors import (
     DeadlineExceededError,
     InvalidParameterError,
+    KernelUnavailableError,
     ServiceOverloadError,
     ServiceUnavailableError,
 )
 from repro.queries.engine import RRQEngine
+from repro.service import scheduler as scheduler_mod
 from repro.service.limits import ServiceLimits
 from repro.service.scheduler import MicroBatchScheduler
+from repro.service.server import canonical_json, encode_result
+from repro.vectorized.batch import BatchOracle
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,14 @@ def engine():
 def make_scheduler(engine, **kwargs):
     kwargs.setdefault("auto_start", False)
     return MicroBatchScheduler(engine, **kwargs)
+
+
+def payload(result, kind):
+    return canonical_json(encode_result(result, kind))
+
+
+def answers_by_path(scheduler):
+    return scheduler.metrics.snapshot()["answers"]["by_path"]
 
 
 class TestCoalescing:
@@ -112,7 +125,6 @@ class TestKernelPath:
             engine, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        assert scheduler.use_kernel
         queries = [engine.products[i] for i in (0, 7, 23, 41)]
         futures = [scheduler.submit(q, "rtk", 8) for q in queries[:2]]
         futures += [scheduler.submit(q, "rkr", 5) for q in queries[2:]]
@@ -154,57 +166,150 @@ class TestKernelPath:
         assert fused["queries"] == 5
         assert fused["batches"] == 2  # one rtk group + one rkr group
 
-    def test_use_kernel_false_keeps_dense_sweep(self, engine):
+    def test_kernel_payloads_match_naive(self, engine):
+        """The acceptance bar: a coalesced batch's HTTP payloads are
+        byte-identical to NaiveRRQ's, and the fused kernel produced
+        every one of them."""
+        naive = NaiveRRQ(engine.products, engine.weights)
         scheduler = make_scheduler(
-            engine, batch_window_s=0.1, use_kernel=False,
+            engine, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        futures = [scheduler.submit(engine.products[i], "rtk", 6)
-                   for i in (1, 2, 3)]
+        queries = [engine.products[i] for i in (5, 31, 77)]
+        futures = [scheduler.submit(q, "rtk", 7) for q in queries]
+        futures += [scheduler.submit(q, "rkr", 4) for q in queries]
         scheduler.start()
         try:
-            results = [f.result(timeout=10) for f in futures]
+            answers = [f.result(timeout=10) for f in futures]
         finally:
             scheduler.close()
-        for i, result in zip((1, 2, 3), results):
-            assert result.weights == engine.reverse_topk(
-                engine.products[i], 6).weights
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        for q, got in zip(queries, answers[:3]):
+            assert payload(got, "rtk") == payload(
+                naive.reverse_topk(q, 7), "rtk")
+        for q, got in zip(queries, answers[3:]):
+            assert payload(got, "rkr") == payload(
+                naive.reverse_kranks(q, 4), "rkr")
+        assert answers_by_path(scheduler)["fused"] == 6
+        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 6
 
     def test_kernel_and_dense_payloads_identical(self, engine):
-        """The acceptance bar: flipping the batch path never changes an
-        HTTP response payload."""
-        from repro.service.server import encode_result
-
+        """The served kernel answers and the dense all_ranks_multi sweep
+        (BatchOracle) encode to the same HTTP payloads."""
+        oracle = BatchOracle(engine.products, engine.weights)
+        scheduler = make_scheduler(
+            engine, batch_window_s=0.1,
+            limits=ServiceLimits(max_batch=16),
+        )
         queries = [engine.products[i] for i in (5, 31, 77)]
-        payloads = {}
-        for use_kernel in (True, False):
-            scheduler = make_scheduler(
-                engine, batch_window_s=0.1, use_kernel=use_kernel,
-                limits=ServiceLimits(max_batch=16),
-            )
-            futures = [scheduler.submit(q, "rtk", 7) for q in queries]
-            futures += [scheduler.submit(q, "rkr", 4) for q in queries]
-            scheduler.start()
-            try:
-                answers = [f.result(timeout=10) for f in futures]
-            finally:
-                scheduler.close()
-            payloads[use_kernel] = (
-                [encode_result(a, "rtk") for a in answers[:3]]
-                + [encode_result(a, "rkr") for a in answers[3:]]
-            )
-        assert payloads[True] == payloads[False]
+        futures = [scheduler.submit(q, "rtk", 7) for q in queries]
+        futures += [scheduler.submit(q, "rkr", 4) for q in queries]
+        scheduler.start()
+        try:
+            answers = [f.result(timeout=10) for f in futures]
+        finally:
+            scheduler.close()
+        kernel = ([payload(a, "rtk") for a in answers[:3]]
+                  + [payload(a, "rkr") for a in answers[3:]])
+        dense = ([payload(a, "rtk")
+                  for a in oracle.reverse_topk_many(queries, 7)]
+                 + [payload(a, "rkr")
+                    for a in oracle.reverse_kranks_many(queries, 4)])
+        assert kernel == dense
+        assert answers_by_path(scheduler)["fused"] == 6
 
-    def test_single_request_stays_on_engine_path(self, engine):
+    def test_use_kernel_option_removed(self, engine):
+        """There is no dense serving path to opt into any more: the
+        scheduler rejects ``use_kernel`` and exposes no such switch."""
+        with pytest.raises(TypeError, match="use_kernel"):
+            make_scheduler(engine, use_kernel=False)
+        scheduler = make_scheduler(engine)
+        try:
+            assert not hasattr(scheduler, "use_kernel")
+        finally:
+            scheduler.close()
+
+    def test_single_request_takes_fused_kernel(self, engine):
+        """A batch of one goes through the fused kernel, never the
+        per-query engine."""
+        naive = NaiveRRQ(engine.products, engine.weights)
         scheduler = make_scheduler(engine, batch_window_s=0.0)
         scheduler.start()
         try:
-            scheduler.answer(engine.products[9], "rtk", 5)
+            rtk = scheduler.answer(engine.products[9], "rtk", 5)
+            rkr = scheduler.answer(engine.products[9], "rkr", 5)
         finally:
             scheduler.close()
-        # Batch of one takes the per-query engine, not the kernel.
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        assert payload(rtk, "rtk") == payload(
+            naive.reverse_topk(engine.products[9], 5), "rtk")
+        assert payload(rkr, "rkr") == payload(
+            naive.reverse_kranks(engine.products[9], 5), "rkr")
+        snap = scheduler.metrics.snapshot()
+        assert snap["batches"]["coalesced"] == 0
+        assert snap["kernel"]["fused"] == {"batches": 2, "queries": 2}
+        assert answers_by_path(scheduler)["fused"] == 2
+        assert answers_by_path(scheduler)["engine_locked"] == 0
+
+
+class TestKernelRetry:
+    """A failed kernel build is retried after a backoff, never latched:
+    the process returns to the kernel once a build succeeds."""
+
+    def test_static_build_failure_then_recovery(self, engine, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "KERNEL_RETRY_BASE_S", 0.5)
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        build = scheduler._build_static_kernel
+        attempts = []
+
+        def flaky_build():
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise MemoryError("injected build failure")
+            return build()
+
+        monkeypatch.setattr(scheduler, "_build_static_kernel", flaky_build)
+        scheduler.start()
+        q = engine.products[4]
+        try:
+            with pytest.raises(KernelUnavailableError,
+                               match="injected build failure"):
+                scheduler.answer(q, "rtk", 5)
+            # Inside the backoff window no build is attempted.
+            with pytest.raises(KernelUnavailableError):
+                scheduler.answer(q, "rtk", 5)
+            assert len(attempts) == 1
+            kernel = scheduler.metrics.snapshot()["kernel"]
+            assert kernel["available"] == {"static": False}
+            assert kernel["build_failures"] == {"static": 1}
+            scheduler_mod.time.sleep(0.55)
+            got = scheduler.answer(q, "rtk", 5)
+        finally:
+            scheduler.close()
+        assert len(attempts) == 2
+        assert payload(got, "rtk") == payload(
+            NaiveRRQ(engine.products, engine.weights).reverse_topk(q, 5),
+            "rtk")
+        kernel = scheduler.metrics.snapshot()["kernel"]
+        assert kernel["available"] == {"static": True}
+        assert kernel["build_failures"] == {"static": 1}
+        assert answers_by_path(scheduler)["fused"] == 1
+
+    def test_backoff_doubles_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "KERNEL_RETRY_BASE_S", 1.0)
+        monkeypatch.setattr(scheduler_mod, "KERNEL_RETRY_MAX_S", 3.0)
+        from repro.service.metrics import ServiceMetrics
+
+        metrics = ServiceMetrics()
+        retry = scheduler_mod._Backoff("static", metrics)
+        delays = []
+        for _ in range(4):
+            retry.failed(OSError("injected"))
+            delays.append(retry._retry_at - scheduler_mod.time.monotonic())
+        assert delays == pytest.approx([1.0, 2.0, 3.0, 3.0], abs=0.05)
+        assert not retry.ready()
+        assert metrics.snapshot()["kernel"]["build_failures"] == {"static": 4}
+        retry.succeeded()
+        assert retry.ready() and retry.failures == 0
+        assert metrics.snapshot()["kernel"]["available"] == {"static": True}
 
 
 class TestDeadlines:
@@ -354,7 +459,6 @@ class TestSnapshotBatchPath:
             durable, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        assert scheduler._use_snapshot_kernel
         queries = [durable.products[i] for i in (0, 7, 23, 41)]
         futures = [scheduler.submit(q, "rtk", 8) for q in queries[:2]]
         futures += [scheduler.submit(q, "rkr", 5) for q in queries[2:]]
@@ -401,16 +505,76 @@ class TestSnapshotBatchPath:
         for q, result in zip(queries, results):
             assert result.weights == durable.reverse_topk(q, 6).weights
 
-    def test_single_request_uses_snapshot_without_kernel(self, durable):
+    @staticmethod
+    def _naive_over_live(durable):
+        """NaiveRRQ over the store's live rows.  The fixture only
+        inserts, so global ids equal dense indices."""
+        from repro.data.datasets import ProductSet, WeightSet
+
+        snap = durable.pin_snapshot()
+        try:
+            (p_rows, _), (w_rows, _) = snap.live_products(), \
+                snap.live_weights()
+            return NaiveRRQ(ProductSet(p_rows, value_range=snap.value_range),
+                            WeightSet(w_rows))
+        finally:
+            snap.release()
+
+    def test_single_request_uses_snapshot_kernel(self, durable):
+        naive = self._naive_over_live(durable)
         scheduler = make_scheduler(durable, batch_window_s=0.0)
         scheduler.start()
+        q = durable.products[3]
         try:
-            got = scheduler.answer(durable.products[3], "rtk", 5)
+            rtk = scheduler.answer(q, "rtk", 5)
+            rkr = scheduler.answer(q, "rkr", 5)
         finally:
             scheduler.close()
-        assert got.weights == durable.reverse_topk(
-            durable.products[3], 5).weights
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        assert payload(rtk, "rtk") == payload(naive.reverse_topk(q, 5), "rtk")
+        assert payload(rkr, "rkr") == payload(
+            naive.reverse_kranks(q, 5), "rkr")
+        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 2
+        assert answers_by_path(scheduler)["snapshot_fused"] == 2
+        assert answers_by_path(scheduler)["snapshot_merge"] == 0
+
+    def test_snapshot_build_failure_merges_then_recovers(self, durable,
+                                                         monkeypatch):
+        """While the snapshot kernel cannot be built, batches take the
+        exact merge path; after the backoff the kernel is back."""
+        from repro.storage import SnapshotKernel
+
+        monkeypatch.setattr(scheduler_mod, "KERNEL_RETRY_BASE_S", 0.05)
+        naive = self._naive_over_live(durable)
+        build = SnapshotKernel.build.__func__
+        attempts = []
+
+        def flaky_build(cls, snap, **kwargs):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise OSError("injected build failure")
+            return build(cls, snap, **kwargs)
+
+        monkeypatch.setattr(SnapshotKernel, "build",
+                            classmethod(flaky_build))
+        scheduler = make_scheduler(durable, batch_window_s=0.0)
+        scheduler.start()
+        q = durable.products[8]
+        try:
+            merged = scheduler.answer(q, "rkr", 6)
+            assert answers_by_path(scheduler)["snapshot_merge"] == 1
+            kernel = scheduler.metrics.snapshot()["kernel"]
+            assert kernel["available"] == {"snapshot": False}
+            scheduler_mod.time.sleep(0.06)
+            fused = scheduler.answer(q, "rkr", 6)
+        finally:
+            scheduler.close()
+        expected = payload(naive.reverse_kranks(q, 6), "rkr")
+        assert payload(merged, "rkr") == expected
+        assert payload(fused, "rkr") == expected
+        assert answers_by_path(scheduler)["snapshot_fused"] == 1
+        kernel = scheduler.metrics.snapshot()["kernel"]
+        assert kernel["available"] == {"snapshot": True}
+        assert kernel["build_failures"] == {"snapshot": 1}
 
 
 class TestKernelHotSwap:
