@@ -379,10 +379,11 @@ def run_fused_config(cfg: dict, seed: int = DEFAULT_SEED,
     """Benchmark one config's fused-batch and cold-start story.
 
     For each query kind the whole ``queries``-sized batch is answered
-    (a) sequentially — one per-query kernel call per query — and
-    (b) through the fused multi-query kernel path; wall clock and the
-    kernel's filter-stage seconds are recorded for both, along with a
-    byte-identity check (fused vs sequential vs oracle).  The
+    (a) sequentially — ``reverse_topk`` / ``reverse_kranks`` per query,
+    i.e. Q fused passes of one query each — and (b) as one fused pass
+    over the whole batch; wall clock and the kernel's filter-stage
+    seconds are recorded for both, along with a byte-identity check
+    (batch vs sequential vs oracle).  The
     cold-start race times a full kernel rebuild from the raw data
     against an mmap load of the persisted kernel store.
     """

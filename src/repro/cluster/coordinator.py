@@ -111,6 +111,12 @@ LATENCY_WINDOW = 128
 #: Minimum other-shard samples before the p95 replaces the floor delay.
 _MIN_HEDGE_SAMPLES = 8
 
+#: Routed data mutations the fallback replay journal holds.  Reaching the
+#: cap withdraws every shard's local fallback and drops the journal, so a
+#: long-lived coordinator's memory stays bounded however many writes it
+#: routes.
+JOURNAL_MAX_ENTRIES = 10_000
+
 #: Mutation ops applied on every shard (all workers hold the full ``P``).
 _BROADCAST_OPS = ("insert_product", "delete_product", "rebuild", "snapshot")
 
@@ -373,7 +379,9 @@ class ClusterCoordinator:
 
         ``entry`` is ``None`` for mutations that change no data
         (rebuild/snapshot) — they still count and still advance the
-        expected LSNs.
+        expected LSNs.  Once every shard's fallback is withdrawn nothing
+        replays the journal, so nothing more is appended; a journal at
+        :data:`JOURNAL_MAX_ENTRIES` withdraws them all and is dropped.
         """
         with self._lock:
             self.mutations_routed += 1
@@ -381,7 +389,15 @@ class ClusterCoordinator:
                 if lsn is not None:
                     self._expected_lsn[sid] = max(
                         self._expected_lsn.get(sid, 0), int(lsn))
-            if entry is None or self.products is None or self.weights is None:
+            if (entry is None or self.products is None or self.weights is None
+                    or len(self._fallback_stale) == self.topology.num_shards):
+                return
+            if len(self._journal) >= JOURNAL_MAX_ENTRIES:
+                reason = (f"mutation journal reached its cap of "
+                          f"{JOURNAL_MAX_ENTRIES} entries")
+                for shard_id in range(self.topology.num_shards):
+                    self._mark_stale_locked(shard_id, reason)
+                self._journal = []
                 return
             self._journal.append(entry)
             for shard_id, engine in list(self._fallbacks.items()):

@@ -461,11 +461,12 @@ class ServiceMetrics:
                         "counts pairs classified by the float32 prefilter).",
                         kernel_pairs[klass], labels={"class": klass})
         exp.counter("rrq_kernel_fused_batches_total",
-                    "Fused multi-query kernel passes (one shared "
-                    "gather/matmul pipeline per coalesced batch).",
+                    "Kernel scans; every scan is a fused pass (one shared "
+                    "gather/matmul pipeline per batch of any size, a "
+                    "single query included).",
                     kernel_fused["batches"])
         exp.counter("rrq_kernel_fused_queries_total",
-                    "Queries answered inside a fused multi-query pass.",
+                    "Queries answered by kernel scans.",
                     kernel_fused["queries"])
         exp.counter("rrq_kernel_weights_pruned_total",
                     "Weight vectors pruned by the k/minRank abort before "

@@ -40,7 +40,6 @@ import numpy as np
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import DataValidationError, IndexCorruptionError
 from ..queries.types import RKRResult, RTKResult
-from ..stats.counters import OpCounter
 from ..vectorized.girkernel import GirKernelRRQ
 from ..vectorized.kernelstore import load_kernel_bundle, save_kernel
 from .snapshot import StoreSnapshot
@@ -178,24 +177,15 @@ class SnapshotKernel:
         return snapshot.generation == self.generation
 
     # ------------------------------------------------------------------
-
-    def reverse_topk(self, q, k: int,
-                     counter: Optional[OpCounter] = None) -> RTKResult:
-        res = self.kernel.reverse_topk(q, k, counter)
-        remapped = frozenset(int(self.w_gids[j]) for j in res.weights)
-        return RTKResult(weights=remapped, k=res.k, counter=res.counter)
-
-    def reverse_kranks(self, q, k: int,
-                       counter: Optional[OpCounter] = None) -> RKRResult:
-        res = self.kernel.reverse_kranks(q, k, counter)
-        entries = tuple(
-            (rank, int(self.w_gids[j])) for rank, j in res.entries
-        )
-        return RKRResult(entries=entries, k=res.k, counter=res.counter)
-
+    # queries: a single query is a batch of one, so each kind remaps ids
+    # in one place, its batch form
     # ------------------------------------------------------------------
-    # fused multi-query entry points (id-remapped like the scalar ones)
-    # ------------------------------------------------------------------
+
+    def reverse_topk(self, q, k: int) -> RTKResult:
+        return self.reverse_topk_batch([q], k)[0]
+
+    def reverse_kranks(self, q, k: int) -> RKRResult:
+        return self.reverse_kranks_batch([q], k)[0]
 
     def reverse_topk_batch(self, queries, k):
         results = self.kernel.reverse_topk_batch(queries, k)

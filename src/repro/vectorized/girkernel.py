@@ -29,9 +29,15 @@ of :mod:`repro.core.ties`.  Only the *work* differs, and
 :class:`KernelStats` reports exactly where it went (filter / refine /
 merge stage seconds, pair classification counts).
 
-The compute core is array-only (:class:`KernelCore`) so that
-:mod:`repro.vectorized.shard` can run it inside worker processes over
-``multiprocessing.shared_memory`` views without re-quantizing anything.
+The compute core is array-only (:class:`KernelCore`) and has one scan,
+the fused pass :meth:`KernelCore.rtk_batch` / :meth:`KernelCore.rkr_batch`:
+Q queries share each tile's bound matmuls, and a single query is simply a
+pass with Q = 1.  :meth:`GirKernelRRQ.reverse_topk` /
+:meth:`GirKernelRRQ.reverse_kranks` run it with Q = 1, the
+``reverse_*_batch`` entry points with the whole batch, and
+:mod:`repro.vectorized.shard` runs it with Q = 1 over one ``[lo, hi)``
+weight range per worker process, on ``multiprocessing.shared_memory``
+views without re-quantizing anything.
 """
 
 from __future__ import annotations
@@ -127,11 +133,12 @@ class KernelStats:
         Pairs whose bound classification ran through the float32
         prefilter (a subset of ``pairs_total``).
     fused_batches:
-        Fused multi-query passes executed (one per coalesced batch and
-        query kind).
+        Kernel scans executed.  Every scan is a fused pass: one per
+        coalesced batch and query kind, one per single query, and one
+        per shard of a sharded query.
     fused_queries:
-        Queries answered inside a fused pass (each shares its batch's
-        gather/matmul work instead of paying for its own).
+        Queries answered by those scans (a query in a batch of Q shares
+        its batch's gather/matmul work with the other Q - 1).
     """
 
     queries: int = 0
@@ -225,34 +232,15 @@ def _count_sorted(S: np.ndarray, G: np.ndarray, strict: bool) -> np.ndarray:
 
 
 @dataclass
-class _QueryState:
-    """Per-query prep shared by every weight block of one scan."""
-
-    #: Global row indices of live products, or ``None`` for "all rows"
-    #: (the common case: no duplicates of q, nothing dominating it).
-    rows: Optional[np.ndarray]
-    #: Bound matrices restricted to the live rows.
-    a_lo: np.ndarray
-    a_hi: np.ndarray
-    #: Size of the Domin set — the rank floor under every weight.
-    n_dom: int
-    #: Live products (bound-classified rows).
-    n_live: int
-    #: float32 views of ``a_lo`` / ``a_hi`` (None on the float64 path).
-    a_lo32: Optional[np.ndarray] = None
-    a_hi32: Optional[np.ndarray] = None
-
-
-@dataclass
 class _BatchState:
     """Per-batch prep for one fused multi-query pass.
 
-    Unlike :class:`_QueryState`, the fused path never compacts product
-    rows per query — the whole point is that every query shares one
-    gather/matmul per (P-block, W-block) tile — so each query instead
-    carries the *sorted global indices* of its excluded rows (duplicates
-    of q plus, with ``use_domin``, its dominators), masked out of that
-    query's classification after the shared tile products are formed.
+    The fused path never compacts product rows per query — every query
+    shares one gather/matmul per (P-block, W-block) tile — so each query
+    instead carries the *sorted global indices* of its excluded rows
+    (duplicates of q plus, with ``use_domin``, its dominators), masked
+    out of that query's classification after the shared tile products
+    are formed.
     """
 
     #: Stacked query matrix, shape ``(nq, d)``.
@@ -316,37 +304,6 @@ class KernelCore:
             self.pa_lo32 = self.pa_hi32 = None
             self.wb_lo32 = self.wb_hi32 = None
 
-    # ------------------------------------------------------------------
-    # per-query preparation
-    # ------------------------------------------------------------------
-
-    def prepare(self, q: np.ndarray) -> _QueryState:
-        """Skip mask, Domin floor and live-row bound matrices for ``q``."""
-        excluded = duplicate_mask(self.P, q)
-        n_dom = 0
-        if self.use_domin:
-            # The full Domin set up front: one vectorized pass replaces
-            # Algorithm 1's lazy per-weight discovery.  Every dominator
-            # contributes exactly 1 to every weight's rank either way.
-            domin = np.all(self.P < q, axis=1)
-            n_dom = int(np.count_nonzero(domin))
-            if n_dom:
-                excluded = excluded | domin
-        a_lo32 = a_hi32 = None
-        if excluded.any():
-            rows = np.flatnonzero(~excluded)
-            a_lo, a_hi = self.pa_lo[rows], self.pa_hi[rows]
-            if self._f32:
-                a_lo32, a_hi32 = self.pa_lo32[rows], self.pa_hi32[rows]
-        else:
-            rows, a_lo, a_hi = None, self.pa_lo, self.pa_hi
-            if self._f32:
-                a_lo32, a_hi32 = self.pa_lo32, self.pa_hi32
-        n_live = a_lo.shape[0]
-        return _QueryState(rows=rows, a_lo=a_lo, a_hi=a_hi,
-                           n_dom=n_dom, n_live=n_live,
-                           a_lo32=a_lo32, a_hi32=a_hi32)
-
     def _f32_gates(self, hi_gate: np.ndarray, lo_gate: np.ndarray):
         """Widen the classification gates for the float32 prefilter.
 
@@ -374,101 +331,13 @@ class KernelCore:
                               np.float32(np.inf))
         return hi_eff, lo_eff
 
-    # ------------------------------------------------------------------
-    # the blocked filter
-    # ------------------------------------------------------------------
-
-    def _classify(self, state: _QueryState, fq: np.ndarray, tol: np.ndarray,
-                  ws: int, we: int, limit: float, counter: OpCounter,
-                  stats: KernelStats,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bound-classify the live pairs for weights ``[ws, we)``.
-
-        Returns ``(counts, und_rows, und_cols, alive)``: per-weight
-        certain-better counts (Domin floor included), the COO coordinates
-        of the undecided pairs (``und_rows`` are *global* P row indices,
-        ``und_cols`` block-local weight offsets), and the survivor mask.
-
-        ``limit`` carries the abort semantics of Algorithm 1 into the
-        blocked scan: the certain-better count is a lower bound on the
-        exact rank, so once a weight's count reaches ``limit`` (``k``
-        for RTK, the current k-th best rank for RKR) it can never enter
-        the answer.  Dead weights are compacted out of the remaining
-        tiles — the bulk equivalent of gin_topk's early return, and
-        where most of the speedup over the full sweep comes from.
-        """
-        t0 = perf_counter()
-        B = we - ws
-        d = self.P.shape[1]
-        hi_gate = fq - tol
-        lo_gate = fq + tol
-        if self._f32:
-            hi_cmp, lo_cmp = self._f32_gates(hi_gate, lo_gate)
-            a_hi_f, a_lo_f = state.a_hi32, state.a_lo32
-            wb_hi_all, wb_lo_all = self.wb_hi32, self.wb_lo32
-        else:
-            hi_cmp, lo_cmp = hi_gate, lo_gate
-            a_hi_f, a_lo_f = state.a_hi, state.a_lo
-            wb_hi_all, wb_lo_all = self.wb_hi, self.wb_lo
-        counts = np.full(B, state.n_dom, dtype=np.int64)
-        #: Columns still worth classifying, as block-local indices.
-        active = np.flatnonzero(counts < limit)
-        und_rows: List[np.ndarray] = []
-        und_cols: List[np.ndarray] = []
-        for ps, pe in self._tiles(state.n_live):
-            if active.size == 0:
-                break
-            wb_hi = wb_hi_all[ws:we][active]
-            wb_lo = wb_lo_all[ws:we][active]
-            # Equations 3-4 for the whole tile: two gemms instead of
-            # (pe - ps) * |active| per-pair grid gathers (sgemm on the
-            # float32 prefilter path, dgemm otherwise).
-            upper = a_hi_f[ps:pe] @ wb_hi.T
-            case1 = upper < hi_cmp[active]
-            counts[active] += case1.sum(axis=0, dtype=np.int64)
-            lower = a_lo_f[ps:pe] @ wb_lo.T
-            undecided = lower <= lo_cmp[active]
-            undecided &= ~case1
-            n_pairs = (pe - ps) * active.size
-            if self._f32:
-                stats.pairs_f32 += n_pairs
-            n_case1 = int(np.count_nonzero(case1))
-            n_und = int(np.count_nonzero(undecided))
-            counter.approx_accessed += pe - ps
-            counter.grid_lookups += n_pairs * d + (n_pairs - n_case1) * d
-            counter.additions += n_pairs * d + (n_pairs - n_case1) * d
-            counter.filtered_case1 += n_case1
-            counter.filtered_case2 += n_pairs - n_case1 - n_und
-            stats.pairs_total += n_pairs
-            stats.pairs_case1 += n_case1
-            stats.pairs_case2 += n_pairs - n_case1 - n_und
-            if n_und:
-                rr, cc = np.nonzero(undecided)
-                rr = rr + ps
-                if state.rows is not None:
-                    rr = state.rows[rr]
-                und_rows.append(rr)
-                und_cols.append(active[cc])
-            survivors = counts[active] < limit
-            if not survivors.all():
-                active = active[survivors]
-        if und_rows:
-            rows_arr = np.concatenate(und_rows)
-            cols_arr = np.concatenate(und_cols)
-        else:
-            rows_arr = np.empty(0, dtype=np.intp)
-            cols_arr = np.empty(0, dtype=np.intp)
-        alive = counts < limit
-        stats.filter_s += perf_counter() - t0
-        return counts, rows_arr, cols_arr, alive
-
-    def _tiles(self, n_live: int):
+    def _tiles(self, n_rows: int):
         """The escalating P-tile schedule: ``FIRST_P_TILE`` rows, then
         quadrupling up to ``p_block`` per tile."""
         size = min(FIRST_P_TILE, self.p_block)
         ps = 0
-        while ps < n_live:
-            pe = min(ps + size, n_live)
+        while ps < n_rows:
+            pe = min(ps + size, n_rows)
             yield ps, pe
             ps = pe
             size = min(size * 4, self.p_block)
@@ -512,96 +381,8 @@ class KernelCore:
         stats.refine_s += perf_counter() - t0
         return add
 
-    def _block_scores(self, q: np.ndarray, ws: int, we: int,
-                      counter: OpCounter) -> Tuple[np.ndarray, np.ndarray]:
-        """``f_w(q)`` and the near-tie half-width for weights ``[ws, we)``."""
-        fq = self.W[ws:we] @ q
-        tol = TIE_REL_TOL * (1.0 + np.abs(fq))
-        counter.pairwise += we - ws
-        return fq, tol
-
     # ------------------------------------------------------------------
-    # query kinds (range-restricted so shards can reuse them)
-    # ------------------------------------------------------------------
-
-    def rtk_indices(self, q: np.ndarray, k: int, lo: int, hi: int,
-                    counter: OpCounter, stats: KernelStats) -> List[int]:
-        """Weight indices in ``[lo, hi)`` whose rank of ``q`` is below ``k``."""
-        stats.queries += 1
-        state = self.prepare(q)
-        if state.n_dom >= k:
-            # k dominating products out-rank q under *every* weight: the
-            # answer is empty everywhere (Algorithm 2 lines 7-8).
-            stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-            stats.weights_pruned += hi - lo
-            counter.dominated_skips += state.n_dom * (hi - lo)
-            counter.early_terminations += hi - lo
-            return []
-        result: List[int] = []
-        stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-        counter.dominated_skips += state.n_dom * (hi - lo)
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
-            B = we - ws
-            fq, tol = self._block_scores(q, ws, we, counter)
-            counts, und_r, und_c, alive = self._classify(
-                state, fq, tol, ws, we, k, counter, stats
-            )
-            n_pruned = B - int(np.count_nonzero(alive))
-            stats.weights_pruned += n_pruned
-            counter.early_terminations += n_pruned
-            counts += self._refine(q, fq, tol, ws, B, und_r, und_c, alive,
-                                   counter, stats)
-            t0 = perf_counter()
-            hits = np.flatnonzero(counts < k)
-            result.extend((hits + ws).tolist())
-            stats.merge_s += perf_counter() - t0
-        return result
-
-    def rkr_pairs(self, q: np.ndarray, k: int, lo: int, hi: int,
-                  counter: OpCounter, stats: KernelStats,
-                  ) -> List[Tuple[int, int]]:
-        """The k best ``(rank, weight index)`` pairs within ``[lo, hi)``.
-
-        Tie-break matches the library contract: among equal ranks the
-        smaller index wins (blocks are scanned in index order and the
-        heap replacement test is strict, like Algorithm 3).
-        """
-        stats.queries += 1
-        state = self.prepare(q)
-        stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-        counter.dominated_skips += state.n_dom * (hi - lo)
-        # Max-heap of the current k best: entries (-rank, -index).
-        heap: List[Tuple[int, int]] = []
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
-            B = we - ws
-            min_rank = float("inf") if len(heap) < k else float(-heap[0][0])
-            fq, tol = self._block_scores(q, ws, we, counter)
-            # minRank feedback: the threshold is the one from *before*
-            # this block — minRank only shrinks, so the stale value
-            # prunes less than Algorithm 3's per-weight update, never
-            # wrongly.
-            counts, und_r, und_c, alive = self._classify(
-                state, fq, tol, ws, we, min_rank, counter, stats
-            )
-            n_pruned = B - int(np.count_nonzero(alive))
-            stats.weights_pruned += n_pruned
-            counter.early_terminations += n_pruned
-            counts += self._refine(q, fq, tol, ws, B, und_r, und_c, alive,
-                                   counter, stats)
-            t0 = perf_counter()
-            for j in np.flatnonzero(alive):
-                rnk = int(counts[j])
-                if len(heap) < k:
-                    heapq.heappush(heap, (-rnk, -(ws + int(j))))
-                elif rnk < -heap[0][0]:
-                    heapq.heapreplace(heap, (-rnk, -(ws + int(j))))
-            stats.merge_s += perf_counter() - t0
-        return [(-neg_rank, -neg_idx) for neg_rank, neg_idx in heap]
-
-    # ------------------------------------------------------------------
-    # the fused multi-query path
+    # the fused scan (range-restricted so shards can reuse it)
     # ------------------------------------------------------------------
 
     def prepare_batch(self, QM: np.ndarray) -> _BatchState:
@@ -637,12 +418,12 @@ class KernelCore:
         One ``(P-tile × W-block)`` gemm pair per tile is shared by every
         query; per-query work is reduced to the cheap elementwise gate
         comparisons, exclusion masking and undecided-pair extraction.
-        Per-query column pruning carries over from the per-query path:
-        the shared gemm is compacted to the **union** of the queries'
-        still-active columns (so the fused pass never multiplies more
-        columns than the per-query scans would in total, while the
-        gather/matmul itself is paid once), and each query's gate
-        comparisons run over only *its* active slice of that union.
+        Per-query column pruning: the shared gemm is compacted to the
+        **union** of the queries' still-active columns (so the fused
+        pass never multiplies more columns than Q separate scans would
+        in total, while the gather/matmul itself is paid once), and each
+        query's gate comparisons run over only *its* active slice of
+        that union.
 
         Returns ``(counts, FQ, TOL, und_rows, und_cols)``: per-query
         certain-better counts (Domin floor included, shape ``(nq, B)``),
@@ -856,10 +637,11 @@ class KernelCore:
                   stats: KernelStats) -> List[List[int]]:
         """Fused RTK: per-query qualifying weight indices in ``[lo, hi)``.
 
-        Answers are byte-identical to per-query :meth:`rtk_indices` —
-        the shared-tile classification only changes which pairs the
-        bounds decide (everything marginal is refined exactly), never
-        the decisions themselves.
+        Answers are byte-identical to
+        :class:`~repro.algorithms.naive.NaiveRRQ` at any batch
+        size, one included — the shared-tile classification only changes
+        which pairs the bounds decide (everything marginal is refined
+        exactly), never the decisions themselves.
         """
         nq = QM.shape[0]
         stats.queries += nq
@@ -911,8 +693,12 @@ class KernelCore:
 
         Per-query minRank feedback is preserved: each query's threshold
         entering a block is its k-th best rank from the blocks before it
-        (exactly the per-query :meth:`rkr_pairs` semantics), applied as
-        that query's column-pruning limit inside the shared pass.
+        (minRank only shrinks, so the stale value prunes less than
+        Algorithm 3's per-weight update, never wrongly), applied as that
+        query's column-pruning limit inside the shared pass.  Tie-break
+        matches the library contract: among equal ranks the smaller
+        index wins (blocks are scanned in index order and the heap
+        replacement test is strict, like Algorithm 3).
         """
         nq = QM.shape[0]
         stats.queries += nq
@@ -1062,14 +848,16 @@ class GirKernelRRQ(RRQAlgorithm):
     def _reverse_topk(self, q: np.ndarray, k: int,
                       counter: OpCounter) -> RTKResult:
         stats = KernelStats()
-        hits = self.core.rtk_indices(q, k, 0, self.W.shape[0], counter, stats)
+        (hits,) = self.core.rtk_batch(q[None], [k], 0, self.W.shape[0],
+                                      [counter], stats)
         self.last_stats = stats
         return RTKResult(weights=frozenset(hits), k=k, counter=counter)
 
     def _reverse_kranks(self, q: np.ndarray, k: int,
                         counter: OpCounter) -> RKRResult:
         stats = KernelStats()
-        pairs = self.core.rkr_pairs(q, k, 0, self.W.shape[0], counter, stats)
+        (pairs,) = self.core.rkr_batch(q[None], [k], 0, self.W.shape[0],
+                                       [counter], stats)
         self.last_stats = stats
         return make_rkr_result(pairs, k, counter)
 

@@ -3,8 +3,10 @@
 :mod:`repro.vectorized.parallel` parallelizes *across* queries — useless
 when one user asks one enormous query.  This module splits a single
 query's weight scan into contiguous shards of ``W`` and fans the shards
-across worker processes, each running the blocked kernel
-(:class:`~repro.vectorized.girkernel.KernelCore`) over **zero-copy**
+across worker processes, each running the kernel's fused scan
+(:meth:`~repro.vectorized.girkernel.KernelCore.rtk_batch` /
+:meth:`~repro.vectorized.girkernel.KernelCore.rkr_batch` with one query
+over the shard's ``[lo, hi)`` weight range) over **zero-copy**
 ``multiprocessing.shared_memory`` views of the six kernel arrays
 (``P``, ``W`` and the four pre-gathered boundary matrices).  The
 segments are created once per engine; per query only the tiny
@@ -117,26 +119,21 @@ def _init_shard_worker(specs: Dict[str, ArraySpec], params: dict) -> None:
     _WORKER_CORE = KernelCore(**arrays, **params)
 
 
-def _init_mmap_worker(directory: str, verify: str) -> None:
-    """Pool initializer for store-fed workers: each worker memory-maps
-    the on-disk kernel store directly (``np.load(mmap_mode='r')``), so
-    spawn cost is O(mmap) and all workers share the page-cache copy —
-    no shared-memory segments, no per-worker array materialization."""
-    global _WORKER_CORE
-    from .kernelstore import load_kernel
+def _run_shard(task, core: Optional[KernelCore] = None,
+               ) -> Tuple[list, OpCounter, KernelStats]:
+    """One query's fused scan over one weight range.
 
-    _WORKER_CORE = load_kernel(directory, verify=verify).core
-
-
-def _run_shard(task) -> Tuple[list, dict, dict]:
+    Runs on the worker's core by default; a closed engine passes its own
+    in-process core instead.
+    """
     kind, q, k, lo, hi = task
+    if core is None:
+        core = _WORKER_CORE
     counter = OpCounter()
     stats = KernelStats()
-    if kind == "rtk":
-        payload = _WORKER_CORE.rtk_indices(q, k, lo, hi, counter, stats)
-    else:
-        payload = _WORKER_CORE.rkr_pairs(q, k, lo, hi, counter, stats)
-    return payload, counter.snapshot(), stats.snapshot()
+    scan = core.rtk_batch if kind == "rtk" else core.rkr_batch
+    (payload,) = scan(q[None], [k], lo, hi, [counter], stats)
+    return payload, counter, stats
 
 
 # ----------------------------------------------------------------------
@@ -249,45 +246,6 @@ class ShardedGirRRQ(RRQAlgorithm):
         engine._w_gids = np.asarray(w_gids, dtype=np.int64)
         return engine
 
-    @classmethod
-    def from_store(cls, directory, shards: Optional[int] = None,
-                   verify: str = "size") -> "ShardedGirRRQ":
-        """Build a sharded engine over an on-disk kernel store.
-
-        The parent and every worker memory-map the store written by
-        :func:`repro.vectorized.kernelstore.save_kernel` instead of
-        copying arrays into shared-memory segments: worker spawn cost
-        drops to O(mmap), physical pages are shared through the page
-        cache, and answers stay byte-identical (same arrays, same
-        kernel).  The store must outlive the engine.
-        """
-        from .kernelstore import load_kernel
-
-        kernel = load_kernel(directory, verify=verify)
-        self = cls.__new__(cls)
-        RRQAlgorithm.__init__(self, kernel.products, kernel.weights)
-        if shards is None:
-            shards = os.cpu_count() or 1
-        if shards < 1:
-            raise InvalidParameterError(
-                f"shards must be positive, got {shards}"
-            )
-        self.kernel = kernel
-        self._w_gids = None
-        self.shards = int(min(shards, self.W.shape[0]) or 1)
-        self.last_stats = None
-        self._segments = []
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.shards,
-            initializer=_init_mmap_worker,
-            initargs=(str(directory), verify),
-        )
-        bounds = np.linspace(0, self.W.shape[0], self.shards + 1).astype(int)
-        self._ranges = [(int(lo), int(hi))
-                        for lo, hi in zip(bounds[:-1], bounds[1:])
-                        if hi > lo]
-        return self
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -336,7 +294,6 @@ class ShardedGirRRQ(RRQAlgorithm):
     def _scatter_gather(self, kind: str, q: np.ndarray, k: int,
                         counter: OpCounter) -> List[list]:
         """Fan one query across the shard pool; collect partial payloads."""
-        stats = KernelStats()
         with span("shard.scatter_gather") as sp:
             sp.annotate("kind", kind)
             if self._pool is None:
@@ -344,21 +301,23 @@ class ShardedGirRRQ(RRQAlgorithm):
                 # reference keep getting exact answers.
                 sp.annotate("shards", 1)
                 sp.annotate("in_process", True)
-                payload, csnap, ssnap = _serial_shard(self.kernel.core, kind,
-                                                      q, k, self.W.shape[0])
-                _merge_snapshots(counter, stats, csnap, ssnap)
+                payload, shard_counter, stats = _run_shard(
+                    (kind, q, k, 0, self.W.shape[0]), self.kernel.core)
+                counter.merge(shard_counter)
                 self.last_stats = stats
                 return [payload]
             sp.annotate("shards", len(self._ranges))
+            stats = KernelStats()
             futures = [
                 self._pool.submit(_run_shard, (kind, q, k, lo, hi))
                 for lo, hi in self._ranges
             ]
             payloads = []
             for future in futures:
-                payload, csnap, ssnap = future.result()
+                payload, shard_counter, shard_stats = future.result()
                 payloads.append(payload)
-                _merge_snapshots(counter, stats, csnap, ssnap)
+                counter.merge(shard_counter)
+                stats.merge(shard_stats)
             # The shards ran concurrently; queries counts as one scan.
             stats.queries = 1
             self.last_stats = stats
@@ -394,36 +353,3 @@ class ShardedGirRRQ(RRQAlgorithm):
         if self.last_stats is not None:
             self.last_stats.merge_s += perf_counter() - t0
         return result
-
-
-def _serial_shard(core: KernelCore, kind: str, q: np.ndarray, k: int,
-                  m_w: int) -> Tuple[list, dict, dict]:
-    counter = OpCounter()
-    stats = KernelStats()
-    if kind == "rtk":
-        payload = core.rtk_indices(q, k, 0, m_w, counter, stats)
-    else:
-        payload = core.rkr_pairs(q, k, 0, m_w, counter, stats)
-    return payload, counter.snapshot(), stats.snapshot()
-
-
-def _merge_snapshots(counter: OpCounter, stats: KernelStats,
-                     csnap: dict, ssnap: dict) -> None:
-    """Fold a shard's counter/stats snapshots into the parent objects."""
-    for name, value in csnap.items():
-        setattr(counter, name, getattr(counter, name) + value)
-    stats.queries += ssnap["queries"]
-    stats.filter_s += ssnap["stage_s"]["filter"]
-    stats.refine_s += ssnap["stage_s"]["refine"]
-    stats.merge_s += ssnap["stage_s"]["merge"]
-    pairs = ssnap["pairs"]
-    stats.pairs_total += pairs["total"]
-    stats.pairs_case1 += pairs["case1"]
-    stats.pairs_case2 += pairs["case2"]
-    stats.pairs_refined += pairs["refined"]
-    stats.pairs_domin_skipped += pairs["domin_skipped"]
-    stats.pairs_f32 += pairs.get("f32", 0)
-    stats.weights_pruned += ssnap["weights_pruned"]
-    fused = ssnap.get("fused", {})
-    stats.fused_batches += fused.get("batches", 0)
-    stats.fused_queries += fused.get("queries", 0)

@@ -1,13 +1,17 @@
-"""Property tests: the fused multi-query kernel is byte-identical to the
-per-query kernel and the naive scan.
+"""Property tests: the fused kernel pass answers a batch exactly like Q
+batches of one, and both exactly like the naive scan.
 
-The acceptance bar for the fused pass: any coalesced micro-batch —
-Q ∈ {1, 2, 5, 16}, dims 2–8, uniform and clustered data, near-tie
-pressure, float32 and float64 filter paths — must return exactly the
-answers the per-query kernel (and ``NaiveRRQ``) returns, query by
-query — on either side of the small-batch crossover, where per-tile
-gate counts switch from direct comparisons to sorted tallies.  Sharing tile matmuls, sorted-tally counting and per-query
-minRank feedback across the batch may only move *work*, never results.
+The fused pass is the kernel's only scan: ``reverse_topk`` /
+``reverse_kranks`` run it with Q = 1, the ``reverse_*_batch`` entry
+points with the whole batch.  The acceptance bar: any coalesced
+micro-batch — Q ∈ {1, 2, 5, 16}, dims 2–8, uniform and clustered data,
+near-tie pressure, float32 and float64 filter paths — must return, query
+by query, exactly the answers of the same queries sent one at a time,
+and ``NaiveRRQ`` is the oracle for both, on either side of the
+small-batch crossover where per-tile gate counts switch from direct
+comparisons to sorted tallies.  Sharing tile matmuls, sorted-tally
+counting and per-query minRank feedback across the batch may only move
+*work*, never results.
 """
 
 import numpy as np
@@ -31,17 +35,17 @@ def _batch(rng, P, nq):
     return queries
 
 
-def _assert_batch_identical(kernel, naive, queries, k, check_naive=True):
+def _assert_batch_identical(kernel, naive, queries, k):
+    """One fused batch of Q == Q sequential batches of one == NaiveRRQ."""
     seq_rtk = [kernel.reverse_topk(q, k) for q in queries]
     fused_rtk = kernel.reverse_topk_batch(queries, k)
     assert [r.weights for r in fused_rtk] == [r.weights for r in seq_rtk]
     seq_rkr = [kernel.reverse_kranks(q, k) for q in queries]
     fused_rkr = kernel.reverse_kranks_batch(queries, k)
     assert [r.entries for r in fused_rkr] == [r.entries for r in seq_rkr]
-    if check_naive:
-        for q, rtk, rkr in zip(queries, fused_rtk, fused_rkr):
-            assert rtk.weights == naive.reverse_topk(q, k).weights
-            assert rkr.entries == naive.reverse_kranks(q, k).entries
+    for q, rtk, rkr in zip(queries, fused_rtk, fused_rkr):
+        assert rtk.weights == naive.reverse_topk(q, k).weights
+        assert rkr.entries == naive.reverse_kranks(q, k).entries
 
 
 @given(
@@ -71,9 +75,9 @@ def test_fused_batch_identical(nq, dist, dim, filter_dtype, seed):
 )
 @settings(max_examples=15, deadline=None)
 def test_fused_batch_near_tie_pressure(nq, filter_dtype, seed):
-    """Low-entropy grids: scores collide everywhere, so the fused pass
-    must route exactly the same marginal pairs through the rational
-    tie-break as the per-query pass does."""
+    """Low-entropy grids: scores collide everywhere, so a batch must
+    route its marginal pairs through the rational tie-break exactly as
+    the same queries sent one at a time do."""
     rng = np.random.default_rng(seed)
     P = ProductSet(rng.integers(0, 4, size=(60, 3)) / 4.0)
     W_raw = rng.integers(1, 4, size=(50, 3)).astype(float)

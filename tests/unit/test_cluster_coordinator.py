@@ -187,3 +187,59 @@ class TestMutationRouting:
                 coordinator.route_mutation(
                     "/promote", {"shard": 0,
                                  "endpoint": "http://127.0.0.1:1"})
+
+    def test_journal_cap_withdraws_fallback(self, tmp_path, monkeypatch):
+        """A routed-mutation stream longer than the journal cap leaves the
+        journal bounded and every fallback withdrawn, naming the cap."""
+        from repro.cluster import coordinator as coordinator_module
+        from repro.durability import DurableDynamicRRQ
+        from repro.service.server import DurableQueryService
+
+        monkeypatch.setattr(coordinator_module, "JOURNAL_MAX_ENTRIES", 3,
+                            raising=False)
+        with ExitStack() as stack:
+            owned = partition_weight_indices(WEIGHTS.size, 2, "range")
+            urls = []
+            for s in range(2):
+                engine = DurableDynamicRRQ.bootstrap(
+                    tmp_path / f"shard{s}", PRODUCTS,
+                    WeightSet(WEIGHTS.values[owned[s]]), fsync="never")
+                server = stack.enter_context(
+                    serve_in_background(DurableQueryService(engine)))
+                urls.append(server.url)
+            topology = ClusterTopology.build([[u] for u in urls],
+                                             WEIGHTS.size, "range")
+            coordinator = ClusterCoordinator(topology, products=PRODUCTS,
+                                             weights=WEIGHTS,
+                                             shard_timeout_s=10.0)
+            stack.callback(coordinator.close)
+            # Build shard 0's fallback engine so the cap has one to drop.
+            live = coordinator.clients[0].endpoints
+            coordinator.clients[0].endpoints = ["http://127.0.0.1:9"]
+            assert coordinator.query(list(PRODUCTS[3]), kind="rtk",
+                                     k=6)["degraded"] is True
+            assert 0 in coordinator._fallbacks
+            coordinator.clients[0].endpoints = live
+
+            rng = np.random.default_rng(5)
+            for _ in range(8):
+                w = rng.uniform(0.1, 1.0, 3)
+                coordinator.route_mutation(
+                    "/insert", {"type": "weight", "vector": list(w / w.sum())})
+                assert len(coordinator._journal) <= 3
+            assert coordinator.mutations_routed == 8
+            assert coordinator._journal == []
+            assert coordinator._fallbacks == {}
+            stats = coordinator.stats()
+            assert stats["fallback_stale_shards"] == [0, 1]
+            assert stats["fallback_available"] is False
+            for shard in coordinator.shard_health()["shards"]:
+                assert shard["fallback"] is False
+                assert "journal reached its cap of 3" in \
+                    shard["fallback_stale_reason"]
+            # A failed shard is now omitted and flagged, never answered
+            # from a fallback that missed writes.
+            coordinator.clients[1].endpoints = ["http://127.0.0.1:9"]
+            got = coordinator.query(list(PRODUCTS[3]), kind="rtk", k=6)
+            assert got["degraded"] is True
+            assert got["degraded_shards"] == [1]

@@ -135,6 +135,17 @@ class TestStats:
         assert 0.0 < stats.filter_rate() <= 1.0
         assert stats.pairs_decided == stats.pairs_case1 + stats.pairs_case2
 
+    @pytest.mark.parametrize("kind", ["rtk", "rkr"])
+    def test_single_query_is_one_fused_scan(self, data, kind):
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=16)
+        query = kernel.reverse_topk if kind == "rtk" else kernel.reverse_kranks
+        query(P[0], 10)
+        stats = kernel.last_stats
+        assert stats.fused_batches == 1
+        assert stats.fused_queries == 1
+        assert stats.queries == 1
+
     def test_snapshot_shape(self, data):
         P, W = data
         kernel = GirKernelRRQ(P, W, partitions=16)

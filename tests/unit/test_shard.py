@@ -58,6 +58,19 @@ class TestEquivalence:
         assert stats.queries == 1  # shards merge into one logical scan
         assert stats.pairs_total > 0
 
+    @pytest.mark.parametrize("kind", ["rtk", "rkr"])
+    def test_one_fused_scan_per_shard(self, data, sharded, kind):
+        P, W = data
+        q = P.values.min(axis=0) * 0.9
+        if kind == "rtk":
+            sharded.reverse_topk(q, 5)
+        else:
+            sharded.reverse_kranks(q, 5)
+        stats = sharded.last_stats
+        assert stats.fused_batches == sharded.shards == 3
+        assert stats.fused_queries == sharded.shards
+        assert stats.queries == 1
+
     def test_reuses_supplied_kernel(self, data):
         P, W = data
         kernel = GirKernelRRQ(P, W, partitions=8)
